@@ -16,7 +16,9 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-from fedqdp import __version__, backend
+import numpy as np
+
+from fedqdp import __version__
 from fedqdp.config import ConfigError, grid_cells, load_config_dict, parse_config_dict
 from fedqdp.federation import run_experiment
 from fedqdp.metrics import (
@@ -38,18 +40,18 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _execute(raw: dict, out_dir: Path, fmt: str, workers: int) -> dict:
+def _execute(raw: dict, out_dir: Path, fmt: str) -> dict:
     """Run one configured experiment and write metrics + manifest."""
     cfg = parse_config_dict(raw)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _now()
-    records = run_experiment(cfg, workers=workers)
+    records = run_experiment(cfg)
     metrics_path = out_dir / f"metrics.{fmt}"
     write_records(records, metrics_path)
     manifest = RunManifest(
         config=raw,
         seed=cfg.seed,
-        backend=backend.BACKEND,
+        numpy_version=np.__version__,
         package_version=__version__,
         started=started,
         finished=_now(),
@@ -71,7 +73,7 @@ def _cmd_run(args) -> int:
     raw = load_config_dict(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
-    summary = _execute(raw, Path(args.out or _default_out()), args.format, args.workers)
+    summary = _execute(raw, Path(args.out or _default_out()), args.format)
     print(f"rounds: {summary['rounds']}")
     print(f"total bits (down + up): {summary['total_bits']}")
     if summary["best_test_acc"] is not None:
@@ -131,7 +133,7 @@ def _cmd_sweep(args) -> int:
         writer.writerow(["cell", *keys, "total_bits", "best_test_acc", "best_round"])
         for i, (overrides, cell_raw) in enumerate(cells):
             cell_dir = out_root / f"cell_{i:03d}"
-            summary = _execute(cell_raw, cell_dir, args.format, args.workers)
+            summary = _execute(cell_raw, cell_dir, args.format)
             writer.writerow(
                 [
                     cell_dir.name,
@@ -158,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="output directory (default $FEDQDP_OUT or ./runs)")
     run_p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    run_p.add_argument("--workers", type=int, default=0, help="thread pool size, 0 = serial")
     run_p.set_defaults(func=_cmd_run)
 
     cmp_p = sub.add_parser("compare", help="compare two exported metrics files")
@@ -172,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--grid", required=True, help="JSON file or inline JSON: dotted key -> list")
     sweep_p.add_argument("--out", default=None)
     sweep_p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sweep_p.add_argument("--workers", type=int, default=0)
     sweep_p.set_defaults(func=_cmd_sweep)
     return parser
 

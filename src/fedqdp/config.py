@@ -39,13 +39,24 @@ _BLOBS_KEYS = {"kind", "num_classes", "input_dim", "train_per_class", "test_per_
 _IDX_KEYS = {"kind", "train_images", "train_labels", "test_images", "test_labels"}
 _PARTITION_KEYS = {"scheme", "alpha", "exponent"}
 
+# keys that must hold JSON integers, in whichever section allows them
+_INT_KEYS = {
+    "rounds", "clients", "per_round", "local_epochs", "batch_size", "seed", "eval_every",
+    "input_dim", "num_classes", "hidden_dim", "b_max", "b_min", "bits",
+    "train_per_class", "test_per_class",
+}
+
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+    """Reject a non-object section, unknown keys, and non-integer integer keys."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object, got {type(section).__name__}")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+    for key in sorted(_INT_KEYS & set(section)):
+        if not isinstance(section[key], int) or isinstance(section[key], bool):
+            raise ConfigError(f"{where}.{key} must be an integer, got {section[key]!r}")
 
 
 def _build(factory, where: str, **kwargs):
@@ -58,7 +69,7 @@ def _build(factory, where: str, **kwargs):
 def parse_config_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON object."""
     _check_keys(raw, _TOP_KEYS, "config")
-    rounds = int(raw.get("rounds", 100))
+    rounds = raw.get("rounds", 100)
 
     data_raw = dict(raw.get("data", {"kind": "blobs"}))
     kind = data_raw.get("kind", "blobs")
@@ -110,13 +121,13 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         partition=partition,
         dp=dp,
         rounds=rounds,
-        num_clients=int(raw.get("clients", 50)),
-        clients_per_round=int(raw.get("per_round", 5)),
-        local_epochs=int(raw.get("local_epochs", 5)),
-        batch_size=int(raw.get("batch_size", 64)),
+        num_clients=raw.get("clients", 50),
+        clients_per_round=raw.get("per_round", 5),
+        local_epochs=raw.get("local_epochs", 5),
+        batch_size=raw.get("batch_size", 64),
         eta=float(raw.get("eta", 0.1)),
-        seed=int(raw.get("seed", 0)),
-        eval_every=int(raw.get("eval_every", 10)),
+        seed=raw.get("seed", 0),
+        eval_every=raw.get("eval_every", 10),
     )
 
 

@@ -50,10 +50,6 @@ class LabeledDataset:
     def input_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        idx = np.asarray(indices)
-        return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
-
 
 def label_histogram(dataset: LabeledDataset, indices: np.ndarray | None = None) -> np.ndarray:
     """Per-class sample counts, over the whole dataset or an index subset."""

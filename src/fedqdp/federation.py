@@ -10,7 +10,6 @@ header (one fp32 scale and a one-byte width tag).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -326,13 +325,12 @@ def partition_dataset(train: LabeledDataset, cfg: ExperimentConfig) -> list[np.n
     )
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 0, round_hook=None) -> list[RoundRecord]:
+def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
     """Run the full protocol and return one RoundRecord per round.
 
-    workers > 1 trains the round's clients on a thread pool; results are
-    identical to the serial run because clients share no mutable state and
-    aggregation follows the sorted selection order. round_hook, when given,
-    is called with (ServerState, RoundRecord) after every round.
+    Clients train one after another in sorted selection order, which is
+    also the aggregation order. round_hook, when given, is called with
+    (ServerState, RoundRecord) after every round.
     Accuracies are computed every eval_every rounds and on the final round.
     """
     train, test = make_datasets(cfg.data, cfg.seed)
@@ -366,13 +364,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 0, round_hook=None) -> 
         downlink = cfg.clients_per_round * comm_cost(q_global)
         selected = [clients[i] for i in ids]
         n_max = max(c.size for c in selected)
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                updates = list(
-                    pool.map(lambda c: client_update(q_global, c, cfg, t, n_max), selected)
-                )
-        else:
-            updates = [client_update(q_global, c, cfg, t, n_max) for c in selected]
+        updates = [client_update(q_global, c, cfg, t, n_max) for c in selected]
         uplink = sum(comm_cost(u.params) for u in updates)
 
         state.params = aggregate(updates)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -39,18 +41,31 @@ def _format_cell(key: str, value) -> str:
     return f"{value:.6f}"
 
 
+@contextmanager
+def _atomic_write(path: str | Path, newline: str | None = None):
+    """Write through a temporary file beside path and move it onto path only
+    once the block finishes, so a failed write leaves the old file intact."""
+    tmp = Path(path).with_name(f".{Path(path).name}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_records(records: list[RoundRecord], path: str | Path) -> None:
-    """Write csv or jsonl depending on the file suffix."""
+    """Write csv or jsonl depending on the file suffix, atomically."""
     path = Path(path)
     rows = [record_to_row(r) for r in records]
     if path.suffix == ".csv":
-        with open(path, "w", newline="") as f:
+        with _atomic_write(path, newline="") as f:
             writer = csv.writer(f)
             writer.writerow(COLUMNS)
             for row in rows:
                 writer.writerow([_format_cell(k, row[k]) for k in COLUMNS])
     elif path.suffix == ".jsonl":
-        with open(path, "w") as f:
+        with _atomic_write(path) as f:
             for row in rows:
                 f.write(json.dumps(row) + "\n")
     else:
@@ -97,7 +112,7 @@ class RunManifest:
 
     config: dict
     seed: int
-    backend: str
+    numpy_version: str
     package_version: str
     started: str
     finished: str
@@ -105,7 +120,7 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    with open(path, "w") as f:
+    with _atomic_write(path) as f:
         json.dump(asdict(manifest), f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedqdp import backend
 from fedqdp.models import ParamSet, l1_norm
+
+# smallest positive normal float, keeps log() off exact zero at |u| = 0.5
+_LAPLACE_FLOOR = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,12 @@ def noise_scale(sensitivity_value: float, dp: DpConfig, scaling: RoundScaling) -
     return factor * sensitivity_value / dp.epsilon
 
 
+def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+    """Map uniforms on (-1/2, 1/2) to Laplace(0, scale) via the inverse CDF."""
+    inner = np.maximum(1.0 - 2.0 * np.abs(u), _LAPLACE_FLOOR)
+    return -scale * np.sign(u) * np.log(inner)
+
+
 def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> ParamSet:
     """Laplace(0, scale) noise shaped like the given parameters.
 
@@ -190,7 +198,7 @@ def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> Par
     out = {}
     for name, value in like.items():
         u = rng.random(value.size) - 0.5
-        out[name] = backend.laplace_from_uniform(u, scale).reshape(value.shape)
+        out[name] = _laplace_from_uniform(u, scale).reshape(value.shape)
     return ParamSet(out)
 
 

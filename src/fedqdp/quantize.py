@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedqdp import backend
 from fedqdp.models import ParamSet
 
 BITS_MIN = 2
@@ -103,6 +102,17 @@ def clip_int(value: int, bits: int) -> int:
     return max(-bound, min(bound, int(value)))
 
 
+def _round_clip(scaled: np.ndarray, u: np.ndarray, bound: int) -> np.ndarray:
+    """Stochastically round pre-scaled values and clip into [-bound, bound].
+
+    Rounds down when the uniform draw u >= the fractional part, up
+    otherwise, so the expected value of the code equals the input.
+    """
+    lower = np.floor(scaled)
+    codes = lower + (u < scaled - lower)
+    return np.clip(codes, -float(bound), float(bound)).astype(np.int64)
+
+
 def quantize(tensor: np.ndarray, bits: int, rng: np.random.Generator) -> QuantizedTensor:
     """Quantize one tensor, consuming one uniform draw per element."""
     b = _check_bits(bits)
@@ -113,7 +123,7 @@ def quantize(tensor: np.ndarray, bits: int, rng: np.random.Generator) -> Quantiz
     alpha = float(np.abs(flat).max()) if flat.size else 0.0
     scale = scale_factor(alpha, b)
     u = rng.random(flat.size)
-    codes = backend.round_clip(flat * scale, u, 2 ** (b - 1) - 1)
+    codes = _round_clip(flat * scale, u, 2 ** (b - 1) - 1)
     return QuantizedTensor(shape=arr.shape, codes=codes, bits=b, scale=scale)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedqdp
@@ -80,6 +81,29 @@ def test_constraint_violations_name_the_problem():
         parse_config_dict({"dp": {"epsilon": -1.0, "xi": 1.0}})
 
 
+def test_integer_fields_reject_floats_strings_and_bools(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="rounds"):
+        parse_config_dict({"rounds": 2.7})
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config_dict({"seed": 0.5})
+    with pytest.raises(ConfigError, match="clients"):
+        parse_config_dict({"clients": "7"})
+    with pytest.raises(ConfigError, match="per_round"):
+        parse_config_dict({"per_round": True})
+    with pytest.raises(ConfigError, match="b_min"):
+        parse_config_dict({"schedule": {"mode": "cosine", "b_min": 8.0}})
+    with pytest.raises(ConfigError, match="train_per_class"):
+        parse_config_dict({"data": {"kind": "blobs", "train_per_class": "30"}})
+    raw = dict(SMALL_RAW, model={"kind": "mlp", "input_dim": 2, "num_classes": 3,
+                                 "hidden_dim": 4.5})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "hidden_dim" in err
+    assert "Traceback" not in err
+
+
 def test_idx_data_requires_model():
     raw = {"data": {"kind": "idx", "train_images": "a", "train_labels": "b",
                     "test_images": "c", "test_labels": "d"}}
@@ -151,6 +175,26 @@ def test_csv_roundtrip_and_formatting(tmp_path):
     assert lines[2] == "1,100,80,20.500000,0.912345,0.950000"
     rows = read_records(path)
     assert rows == [record_to_row(r) for r in _records()]
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.csv"
+    write_records(_records()[1:], path)
+    old = path.read_bytes()
+    real_format = fedqdp.metrics._format_cell
+    calls = []
+
+    def failing_format(key, value):
+        calls.append(key)
+        if len(calls) > 8:  # partway through the second row
+            raise RuntimeError("disk full")
+        return real_format(key, value)
+
+    monkeypatch.setattr(fedqdp.metrics, "_format_cell", failing_format)
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_records(_records(), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
 
 def test_jsonl_roundtrip_identical(tmp_path):
@@ -228,7 +272,7 @@ def test_cli_run_writes_metrics_and_manifest(tmp_path, capsys):
     assert manifest.seed == 0
     assert manifest.config["rounds"] == 4
     assert manifest.outputs == ("metrics.csv",)
-    assert manifest.backend in ("numpy", "numba")
+    assert manifest.numpy_version == np.__version__
     rows = read_records(metrics)
     assert len(rows) == 4
 

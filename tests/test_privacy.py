@@ -10,6 +10,7 @@ from fedqdp.privacy import (
     DpConfig,
     RoundScaling,
     SensitivityInputs,
+    _laplace_from_uniform,
     compute_e0,
     laplace_noise,
     lipschitz_estimate,
@@ -220,6 +221,14 @@ def test_laplace_noise_matches_inverse_cdf_formula():
     u = np.random.default_rng(3).random(8) - 0.5
     want = -scale * np.sign(u) * np.log(1.0 - 2.0 * np.abs(u))
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_laplace_kernel_boundary_is_finite():
+    # |u| at the closed end of the interval must not produce inf
+    u = np.array([0.5, -0.5, 0.0])
+    out = _laplace_from_uniform(u, 1.0)
+    assert np.all(np.isfinite(out))
+    assert out[2] == 0.0
 
 
 def test_laplace_noise_statistics():

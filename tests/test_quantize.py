@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fedqdp.models import ParamSet
 from fedqdp.quantize import (
     QuantizedTensor,
+    _round_clip,
     clip_int,
     dequantize,
     dequantize_params,
@@ -65,6 +66,14 @@ def test_stochastic_round_rejects_non_finite():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         stochastic_round(np.nan, rng)
+
+
+def test_round_clip_handles_boundary_uniform():
+    # u exactly 0 rounds integers down to themselves, never up
+    scaled = np.array([2.0, -2.0, 2.5])
+    u = np.zeros(3)
+    out = _round_clip(scaled, u, 127)
+    assert np.array_equal(out, [2, -2, 3])  # frac 0.5 > u=0 rounds up
 
 
 def test_clip_int_examples():
