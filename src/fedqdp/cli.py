@@ -124,6 +124,12 @@ def _cmd_sweep(args) -> int:
     raw = load_config_dict(args.config)
     grid = _load_grid(args.grid)
     cells = grid_cells(raw, grid)
+    # validate every cell before running any, so a bad cell leaves no output
+    for overrides, cell_raw in cells:
+        try:
+            parse_config_dict(cell_raw)
+        except ConfigError as exc:
+            raise ConfigError(f"grid cell {overrides}: {exc}") from exc
     out_root = Path(args.out or _default_out())
     out_root.mkdir(parents=True, exist_ok=True)
     keys = sorted(grid)

@@ -45,10 +45,13 @@ _INT_KEYS = {
     "input_dim", "num_classes", "hidden_dim", "b_max", "b_min", "bits",
     "train_per_class", "test_per_class",
 }
+# keys that must hold JSON numbers (integer or real, not a bool)
+_REAL_KEYS = {"eta", "spread", "epsilon", "xi", "delta", "lambda_h", "alpha", "exponent"}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    """Reject a non-object section, unknown keys, and non-integer integer keys."""
+    """Reject a non-object section, unknown keys, non-integer integer keys
+    and non-numeric real keys."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object, got {type(section).__name__}")
     unknown = sorted(set(section) - allowed)
@@ -57,6 +60,9 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     for key in sorted(_INT_KEYS & set(section)):
         if not isinstance(section[key], int) or isinstance(section[key], bool):
             raise ConfigError(f"{where}.{key} must be an integer, got {section[key]!r}")
+    for key in sorted(_REAL_KEYS & set(section)):
+        if not isinstance(section[key], (int, float)) or isinstance(section[key], bool):
+            raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}")
 
 
 def _build(factory, where: str, **kwargs):

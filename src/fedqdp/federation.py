@@ -26,6 +26,7 @@ from fedqdp.data import (
 from fedqdp.models import (
     ModelSpec,
     ParamSet,
+    ShapeMismatchError,
     clip_gradient_l1,
     init_params,
     loss_and_grad,
@@ -172,7 +173,7 @@ class ClientData:
 
 def comm_cost(q: QuantizedParamSet) -> int:
     """Bits to transmit one quantized parameter message."""
-    return sum(qt.num_elements * qt.bits + SCALE_BITS + TAG_BITS for _, qt in q.entries)
+    return q.num_elements * q.bits + len(q.layout) * (SCALE_BITS + TAG_BITS)
 
 
 def fp32_cost(params: ParamSet) -> int:
@@ -209,7 +210,7 @@ def broadcast_bits(schedule_cfg: ScheduleConfig, t: int) -> int:
 
 
 def client_update(
-    q_global: QuantizedParamSet,
+    global_params: ParamSet,
     client: ClientData,
     cfg: ExperimentConfig,
     t: int,
@@ -223,7 +224,7 @@ def client_update(
     difference estimates local smoothness. All randomness comes from
     streams keyed on (seed, purpose, t, client_id).
     """
-    params = dequantize_params(q_global)
+    params = global_params
     n_i = client.size
     order = streams.substream(
         cfg.seed, streams.CLIENT_BATCHING, t, client.client_id
@@ -279,10 +280,14 @@ def aggregate(updates: list[ClientUpdate]) -> ParamSet:
     if not updates:
         raise ValueError("cannot aggregate zero updates")
     total = float(sum(u.dataset_size for u in updates))
-    acc = dequantize_params(updates[0].params).scale(updates[0].dataset_size / total)
+    first = dequantize_params(updates[0].params)
+    acc = first.vector * (updates[0].dataset_size / total)
     for u in updates[1:]:
-        acc = acc + dequantize_params(u.params).scale(u.dataset_size / total)
-    return acc
+        decoded = dequantize_params(u.params)
+        if decoded.layout != first.layout:
+            raise ShapeMismatchError(f"{decoded!r} and {first!r} differ in tensor names or shapes")
+        acc += decoded.vector * (u.dataset_size / total)
+    return ParamSet.from_vector(first.layout, acc)
 
 
 def make_datasets(
@@ -362,9 +367,12 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
             state.params, b_t, streams.substream(cfg.seed, streams.SERVER_ROUNDING, t)
         )
         downlink = cfg.clients_per_round * comm_cost(q_global)
+        # every client decodes the same broadcast; ParamSets are read-only,
+        # so one decoded copy is shared
+        global_params = dequantize_params(q_global)
         selected = [clients[i] for i in ids]
         n_max = max(c.size for c in selected)
-        updates = [client_update(q_global, c, cfg, t, n_max) for c in selected]
+        updates = [client_update(global_params, c, cfg, t, n_max) for c in selected]
         uplink = sum(comm_cost(u.params) for u in updates)
 
         state.params = aggregate(updates)

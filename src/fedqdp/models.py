@@ -1,9 +1,10 @@
 """Dense-parameter classifiers: softmax regression and a one-hidden-layer MLP.
 
-Model parameters are ordered collections of named float64 tensors with
-elementwise arithmetic. Gradients are exact analytic gradients of the mean
-softmax cross-entropy; the optimizer is plain SGD with an optional hard
-L1-norm bound on the gradient.
+Model parameters are named float64 tensors packed into one contiguous
+vector, so every whole-model operation is one numpy call on that vector.
+Gradients are exact analytic gradients of the mean softmax cross-entropy;
+the optimizer is plain SGD with an optional hard L1-norm bound on the
+gradient.
 """
 
 from __future__ import annotations
@@ -17,72 +18,137 @@ class ShapeMismatchError(ValueError):
     """Raised when two parameter sets are not conformable for arithmetic."""
 
 
-class ParamSet:
-    """Ordered, named float64 tensors supporting elementwise arithmetic.
+class Layout:
+    """Where each named tensor lives in a flat vector: (name, shape, offset,
+    size) per tensor, in order, with no gaps.
 
-    Arithmetic requires both operands to have identical names, order, and
-    shapes. All operations return new ParamSets; stored arrays are treated
-    as immutable. Every constructed set is validated to be finite.
+    Sets derived from one another share one Layout object, which makes
+    their conformability check an identity test.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("entries", "names", "offsets", "sizes", "size", "_index")
+
+    def __init__(self, shapes):
+        entries = []
+        offset = 0
+        for name, shape in shapes:
+            shape = tuple(int(d) for d in shape)
+            size = int(np.prod(shape, dtype=np.int64))
+            entries.append((str(name), shape, offset, size))
+            offset += size
+        self.entries: tuple[tuple[str, tuple[int, ...], int, int], ...] = tuple(entries)
+        self.names = tuple(e[0] for e in entries)
+        self.offsets = np.array([e[2] for e in entries], dtype=np.intp)
+        self.sizes = np.array([e[3] for e in entries], dtype=np.intp)
+        self.size = offset
+        self._index = {e[0]: e for e in entries}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Layout) and self.entries == other.entries)
+
+    def view(self, vector: np.ndarray, name: str) -> np.ndarray:
+        """The named tensor as a view into vector, in its own shape."""
+        _, shape, offset, size = self._index[name]
+        return vector[offset : offset + size].reshape(shape)
+
+
+class ParamSet:
+    """Named float64 tensors stored as one read-only contiguous vector.
+
+    Indexing by name returns a read-only view in the tensor's shape.
+    Arithmetic requires both operands to have identical names, order, and
+    shapes, and returns a new ParamSet. Every constructed set is validated
+    to be finite.
+    """
+
+    __slots__ = ("_layout", "_vector")
 
     def __init__(self, entries):
-        self._entries: dict[str, np.ndarray] = {}
-        for name, value in dict(entries).items():
-            arr = np.asarray(value, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"tensor {name!r} contains non-finite values")
-            self._entries[str(name)] = arr
+        arrays = {name: np.asarray(value, dtype=np.float64)
+                  for name, value in dict(entries).items()}
+        layout = Layout((name, arr.shape) for name, arr in arrays.items())
+        vector = (np.concatenate([arr.ravel() for arr in arrays.values()])
+                  if arrays else np.zeros(0))
+        self._init(layout, vector)
+
+    @classmethod
+    def from_vector(cls, layout: Layout, vector: np.ndarray) -> "ParamSet":
+        """Wrap a flat float64 vector laid out by layout.
+
+        The set takes ownership: the vector is marked read-only, and the
+        caller must not keep a writable alias to it.
+        """
+        out = cls.__new__(cls)
+        out._init(layout, vector)
+        return out
+
+    def _init(self, layout: Layout, vector: np.ndarray) -> None:
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != (layout.size,):
+            raise ShapeMismatchError(
+                f"vector of shape {vector.shape} does not fit a layout of {layout.size} elements"
+            )
+        if not np.isfinite(vector).all():
+            bad = next(name for name, _, off, size in layout.entries
+                       if not np.isfinite(vector[off : off + size]).all())
+            raise ValueError(f"tensor {bad!r} contains non-finite values")
+        vector.flags.writeable = False
+        self._layout = layout
+        self._vector = vector
+
+    @property
+    def layout(self) -> Layout:
+        return self._layout
+
+    @property
+    def vector(self) -> np.ndarray:
+        """Every tensor, flattened and concatenated in layout order (read-only)."""
+        return self._vector
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._entries)
+        return self._layout.names
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> tuple[tuple[str, np.ndarray], ...]:
+        return tuple((name, self[name]) for name in self._layout.names)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._entries[name]
+        return self._layout.view(self._vector, name)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._layout)
 
     def __repr__(self) -> str:
-        shapes = ", ".join(f"{k}:{v.shape}" for k, v in self._entries.items())
+        shapes = ", ".join(f"{name}:{shape}" for name, shape, _, _ in self._layout.entries)
         return f"ParamSet({shapes})"
 
     @property
     def num_elements(self) -> int:
-        return sum(v.size for v in self._entries.values())
+        return self._layout.size
 
     def _require_conformable(self, other: "ParamSet") -> None:
-        if self.names != other.names:
-            raise ShapeMismatchError(f"tensor names differ: {self.names} vs {other.names}")
-        for name in self.names:
-            if self._entries[name].shape != other._entries[name].shape:
-                raise ShapeMismatchError(
-                    f"tensor {name!r} shapes differ: "
-                    f"{self._entries[name].shape} vs {other._entries[name].shape}"
-                )
+        if self._layout != other._layout:
+            raise ShapeMismatchError(f"{self!r} and {other!r} differ in tensor names or shapes")
 
     def __add__(self, other: "ParamSet") -> "ParamSet":
         self._require_conformable(other)
-        return ParamSet({k: v + other._entries[k] for k, v in self._entries.items()})
+        return ParamSet.from_vector(self._layout, self._vector + other._vector)
 
     def __sub__(self, other: "ParamSet") -> "ParamSet":
         self._require_conformable(other)
-        return ParamSet({k: v - other._entries[k] for k, v in self._entries.items()})
+        return ParamSet.from_vector(self._layout, self._vector - other._vector)
 
     def scale(self, factor: float) -> "ParamSet":
-        f = float(factor)
-        return ParamSet({k: v * f for k, v in self._entries.items()})
+        return ParamSet.from_vector(self._layout, self._vector * float(factor))
 
     def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self._entries.items()})
+        return ParamSet.from_vector(self._layout, self._vector.copy())
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet({k: np.zeros_like(v) for k, v in self._entries.items()})
+        return ParamSet.from_vector(self._layout, np.zeros(self._layout.size))
 
 
 @dataclass(frozen=True)
@@ -195,18 +261,26 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarra
     dlogits /= n
 
     if spec.kind == "logistic":
-        grad = ParamSet({"w": dlogits.T @ x, "b": dlogits.sum(axis=0)})
+        parts = [dlogits.T @ x, dlogits.sum(axis=0)]
     else:
         gw2 = dlogits.T @ hidden
         gb2 = dlogits.sum(axis=0)
         dh = (dlogits @ params["w2"]) * (1.0 - hidden * hidden)
-        grad = ParamSet({"w1": dh.T @ x, "b1": dh.sum(axis=0), "w2": gw2, "b2": gb2})
-    return loss, grad
+        parts = [dh.T @ x, dh.sum(axis=0), gw2, gb2]
+    flat = np.concatenate([part.ravel() for part in parts])
+    return loss, ParamSet.from_vector(params.layout, flat)
 
 
 def l1_norm(params: ParamSet) -> float:
-    """Sum of absolute values over every element of every tensor."""
-    return float(sum(np.abs(v).sum() for _, v in params.items()))
+    """Sum of absolute values over every element of every tensor.
+
+    Each tensor's segment is summed on its own and the segment sums are
+    added in layout order. A single sum over the whole vector, or
+    np.add.reduceat, rounds differently and would move every quantity
+    derived from the norm.
+    """
+    a = np.abs(params.vector)
+    return float(sum(a[off : off + size].sum() for _, _, off, size in params.layout.entries))
 
 
 def clip_gradient_l1(grad: ParamSet, xi: float) -> ParamSet:
@@ -235,6 +309,6 @@ def sgd_step(params: ParamSet, grad: ParamSet, eta: float) -> ParamSet:
     if not np.isfinite(eta) or eta <= 0:
         raise ValueError(f"learning rate must be positive and finite, got {eta}")
     params._require_conformable(grad)
-    return ParamSet(
-        {k: v - eta * grad[k] for k, v in params.items()}
-    )
+    step = grad.vector * eta
+    np.subtract(params.vector, step, out=step)
+    return ParamSet.from_vector(params.layout, step)

@@ -82,42 +82,46 @@ class RoundScaling:
 
 @dataclass
 class BatchTrace:
-    """Raw gradients and the parameters they were taken at, per epoch and batch.
+    """Running smoothness estimate over same-batch, consecutive-epoch pairs.
 
     Gradients recorded here are the unclipped ones; the trace exists to
-    estimate how fast the gradient field changes between epochs.
+    estimate how fast the gradient field changes between epochs. Only the
+    latest (grad, params) per batch index is held: recording batch j
+    compares it with batch j of the previous epoch, when that epoch had
+    one, and then replaces it.
     """
 
-    epochs: list[list[tuple[ParamSet, ParamSet]]] = field(default_factory=list)
+    estimate: float = 0.0
+    _latest: list[tuple[ParamSet, ParamSet]] = field(default_factory=list)
+    _previous_batches: int = 0
+    _batch: int | None = None
 
     def start_epoch(self) -> None:
-        self.epochs.append([])
+        if self._batch is not None:
+            self._previous_batches = self._batch
+        self._batch = 0
 
     def record(self, grad: ParamSet, params: ParamSet) -> None:
-        if not self.epochs:
+        if self._batch is None:
             raise ValueError("record() before start_epoch()")
-        self.epochs[-1].append((grad, params))
-
-    def consecutive_pairs(self):
-        """Yield ((grad, params), (grad', params')) for the same batch index
-        in consecutive epochs."""
-        for e in range(len(self.epochs) - 1):
-            first, second = self.epochs[e], self.epochs[e + 1]
-            for j in range(min(len(first), len(second))):
-                yield first[j], second[j]
+        j = self._batch
+        if j < self._previous_batches:
+            prev_grad, prev_params = self._latest[j]
+            denom = l1_norm(prev_params - params)
+            if denom != 0.0:
+                self.estimate = max(self.estimate, l1_norm(prev_grad - grad) / denom)
+        if j == len(self._latest):
+            self._latest.append((grad, params))
+        else:
+            self._latest[j] = (grad, params)
+        self._batch = j + 1
 
 
 def lipschitz_estimate(trace: BatchTrace) -> float:
     """Max ratio ||grad - grad'||_1 / ||params - params'||_1 over all
     same-batch consecutive-epoch pairs. Pairs with identical parameters are
     skipped; no usable pair gives 0.0."""
-    best = 0.0
-    for (g1, p1), (g2, p2) in trace.consecutive_pairs():
-        denom = l1_norm(p1 - p2)
-        if denom == 0.0:
-            continue
-        best = max(best, l1_norm(g1 - g2) / denom)
-    return best
+    return trace.estimate
 
 
 def compute_e0(lambda_i: float, eta: float, dataset_size: int) -> int:
@@ -188,18 +192,16 @@ def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
 def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> ParamSet:
     """Laplace(0, scale) noise shaped like the given parameters.
 
-    Sampled by inverse CDF from uniforms on (-1/2, 1/2): scale = 0 returns
-    exact zeros without consuming randomness.
+    Sampled by inverse CDF from uniforms on (-1/2, 1/2), one draw over the
+    whole vector in layout order (the same stream as one draw per tensor
+    in turn): scale = 0 returns exact zeros without consuming randomness.
     """
     if not np.isfinite(scale) or scale < 0:
         raise ValueError(f"scale must be non-negative and finite, got {scale}")
     if scale == 0.0:
         return like.zeros_like()
-    out = {}
-    for name, value in like.items():
-        u = rng.random(value.size) - 0.5
-        out[name] = _laplace_from_uniform(u, scale).reshape(value.shape)
-    return ParamSet(out)
+    u = rng.random(like.num_elements) - 0.5
+    return ParamSet.from_vector(like.layout, _laplace_from_uniform(u, scale))
 
 
 def perturb(params: ParamSet, noise: ParamSet) -> ParamSet:

@@ -4,7 +4,9 @@ A tensor is scaled by s = (2^(b-1) - 1) / max|x|, stochastically rounded to
 integer codes, and clipped into the signed b-bit range. Rounding is down
 with probability ceil(x) - x and up otherwise, which makes the code an
 unbiased estimate of the scaled value. An all-zero tensor gets scale 1 so
-dequantization is always well defined.
+dequantization is always well defined. A whole ParamSet is quantized in
+one pass over its flat vector; quantize() and dequantize() handle a single
+tensor.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedqdp.models import ParamSet
+from fedqdp.models import Layout, ParamSet
 
 BITS_MIN = 2
 BITS_MAX = 32
@@ -54,18 +56,41 @@ class QuantizedTensor:
 
 @dataclass(frozen=True, eq=False)
 class QuantizedParamSet:
-    """Per-tensor quantization of a ParamSet, order preserved."""
+    """Quantization of a whole ParamSet: one flat int64 code vector in the
+    parameters' layout, one scale per tensor, one bit width."""
 
-    entries: tuple[tuple[str, QuantizedTensor], ...]
+    layout: Layout
+    codes: np.ndarray  # int64, flat, in layout order
+    scales: np.ndarray  # float64, one per tensor
     bits: int
+
+    def __post_init__(self):
+        _check_bits(self.bits)
+        if self.codes.dtype != np.int64 or self.codes.shape != (self.layout.size,):
+            raise ValueError(f"codes must be a flat int64 array of {self.layout.size} elements")
+        bound = 2 ** (self.bits - 1) - 1
+        if self.codes.size and (self.codes.min() < -bound or self.codes.max() > bound):
+            raise ValueError(f"codes exceed the signed {self.bits}-bit range [-{bound}, {bound}]")
+        if self.scales.shape != (len(self.layout),):
+            raise ValueError(f"need one scale per tensor, got {self.scales.shape}")
+        if not (np.isfinite(self.scales).all() and (self.scales > 0).all()):
+            raise ValueError(f"scales must be positive and finite, got {self.scales}")
+
+    @property
+    def entries(self) -> tuple[tuple[str, QuantizedTensor], ...]:
+        """Per-tensor views of the codes, with their scales."""
+        return tuple(
+            (name, QuantizedTensor(shape, self.codes[off : off + size], self.bits, float(scale)))
+            for (name, shape, off, size), scale in zip(self.layout.entries, self.scales)
+        )
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
+        return self.layout.names
 
     @property
     def num_elements(self) -> int:
-        return sum(q.num_elements for _, q in self.entries)
+        return self.codes.size
 
 
 def scale_factor(alpha: float, bits: int) -> float:
@@ -108,9 +133,10 @@ def _round_clip(scaled: np.ndarray, u: np.ndarray, bound: int) -> np.ndarray:
     Rounds down when the uniform draw u >= the fractional part, up
     otherwise, so the expected value of the code equals the input.
     """
-    lower = np.floor(scaled)
-    codes = lower + (u < scaled - lower)
-    return np.clip(codes, -float(bound), float(bound)).astype(np.int64)
+    codes = np.floor(scaled)
+    codes += u < scaled - codes
+    np.clip(codes, -float(bound), float(bound), out=codes)
+    return codes.astype(np.int64)
 
 
 def quantize(tensor: np.ndarray, bits: int, rng: np.random.Generator) -> QuantizedTensor:
@@ -135,13 +161,28 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> QuantizedParamSet:
     """Quantize every tensor at the same bit width with per-tensor scales.
 
-    Tensors are processed in parameter order on a single stream, so the
-    result is a pure function of (params, bits, generator state).
+    One uniform draw covers the whole vector in layout order, which is the
+    same stream as one draw per tensor in turn, so the result equals
+    quantize() applied tensor by tensor on the same generator.
     """
     b = _check_bits(bits)
-    entries = tuple((name, quantize(value, b, rng)) for name, value in params.items())
-    return QuantizedParamSet(entries=entries, bits=b)
+    layout = params.layout
+    flat = params.vector
+    # reduceat would read one element for an empty segment and rejects an
+    # offset at the end of the vector, so empty tensors are skipped (alpha 0)
+    alpha = np.zeros(len(layout))
+    filled = layout.sizes > 0
+    if filled.any():
+        alpha[filled] = np.maximum.reduceat(np.abs(flat), layout.offsets[filled])
+    scales = np.array([scale_factor(a, b) for a in alpha.tolist()])
+    scaled = np.repeat(scales, layout.sizes)
+    scaled *= flat
+    codes = _round_clip(scaled, rng.random(flat.size), 2 ** (b - 1) - 1)
+    return QuantizedParamSet(layout=layout, codes=codes, scales=scales, bits=b)
 
 
 def dequantize_params(q: QuantizedParamSet) -> ParamSet:
-    return ParamSet({name: dequantize(qt) for name, qt in q.entries})
+    """Map every code back to a float: codes / the scale of its tensor."""
+    values = np.repeat(q.scales, q.layout.sizes)
+    np.divide(q.codes, values, out=values)
+    return ParamSet.from_vector(q.layout, values)

@@ -121,7 +121,7 @@ def test_client_update_bits_and_size():
     cfg = make_config(rounds=10, mode="static", bits=8)
     client = make_client(n=20)
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
-    update = client_update(q_global, client, cfg, t=0, max_dataset_size=30)
+    update = client_update(dequantize_params(q_global), client, cfg, t=0, max_dataset_size=30)
     assert update.bits == 8
     assert update.dataset_size == 20
     assert update.params.bits == 8
@@ -131,11 +131,11 @@ def test_client_update_deterministic():
     cfg = make_config(rounds=10)
     client = make_client(n=20)
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
-    a = client_update(q_global, client, cfg, t=3, max_dataset_size=30)
-    b = client_update(q_global, client, cfg, t=3, max_dataset_size=30)
+    a = client_update(dequantize_params(q_global), client, cfg, t=3, max_dataset_size=30)
+    b = client_update(dequantize_params(q_global), client, cfg, t=3, max_dataset_size=30)
     for (_, qa), (_, qb) in zip(a.params.entries, b.params.entries):
         assert np.array_equal(qa.codes, qb.codes)
-    c = client_update(q_global, client, cfg, t=4, max_dataset_size=30)
+    c = client_update(dequantize_params(q_global), client, cfg, t=4, max_dataset_size=30)
     assert any(
         not np.array_equal(qa.codes, qc.codes)
         for (_, qa), (_, qc) in zip(a.params.entries, c.params.entries)
@@ -147,7 +147,7 @@ def test_client_update_trains_on_local_data():
     client = make_client(n=40)
     params0 = init_params(MODEL, np.random.default_rng(0))
     q_global = quantize_params(params0, 32, np.random.default_rng(1))
-    update = client_update(q_global, client, cfg, t=0, max_dataset_size=40)
+    update = client_update(dequantize_params(q_global), client, cfg, t=0, max_dataset_size=40)
     trained = dequantize_params(update.params)
     loss_before, _ = loss_and_grad(MODEL, params0, client.features, client.labels)
     loss_after, _ = loss_and_grad(MODEL, trained, client.features, client.labels)
@@ -161,7 +161,7 @@ def test_client_update_tiny_epsilon_noise_dominates():
 
     def run(eps):
         cfg = make_config(rounds=10, mode="static", bits=32, dp=DpConfig(epsilon=eps, xi=100.0))
-        return dequantize_params(client_update(q_global, client, cfg, 0, 20).params)
+        return dequantize_params(client_update(dequantize_params(q_global), client, cfg, 0, 20).params)
 
     nearly_noiseless = run(1e30)
     noisy = run(1e-6)
@@ -175,8 +175,8 @@ def test_client_update_dp_changes_result():
     cfg_dp = make_config(rounds=10, mode="static", bits=32, dp=DpConfig(epsilon=10.0, xi=100.0))
     client = make_client(n=20)
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
-    plain = dequantize_params(client_update(q_global, client, cfg_plain, 0, 20).params)
-    noisy = dequantize_params(client_update(q_global, client, cfg_dp, 0, 20).params)
+    plain = dequantize_params(client_update(dequantize_params(q_global), client, cfg_plain, 0, 20).params)
+    noisy = dequantize_params(client_update(dequantize_params(q_global), client, cfg_dp, 0, 20).params)
     assert any(not np.array_equal(plain[k], noisy[k]) for k in plain.names)
 
 
@@ -278,7 +278,7 @@ def test_bit_accounting_reconstructed_from_streams():
             labels=train.labels[parts[i]],
             label_counts=label_histogram(train, parts[i]),
         )
-        update = client_update(q_global, client, cfg, 0, n_max)
+        update = client_update(dequantize_params(q_global), client, cfg, 0, n_max)
         expected_up += comm_cost(update.params)
     assert records[0].uplink_bits == expected_up
 

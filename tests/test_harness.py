@@ -104,6 +104,28 @@ def test_integer_fields_reject_floats_strings_and_bools(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_real_fields_reject_strings_and_bools():
+    with pytest.raises(ConfigError, match="eta"):
+        parse_config_dict({"eta": True})
+    with pytest.raises(ConfigError, match="eta"):
+        parse_config_dict({"eta": "0.1"})
+    with pytest.raises(ConfigError, match="spread"):
+        parse_config_dict({"data": {"kind": "blobs", "spread": True}})
+    with pytest.raises(ConfigError, match="epsilon"):
+        parse_config_dict({"dp": {"epsilon": True, "xi": 1.0}})
+    with pytest.raises(ConfigError, match="xi"):
+        parse_config_dict({"dp": {"epsilon": 1.0, "xi": "1"}})
+    with pytest.raises(ConfigError, match="lambda_h"):
+        parse_config_dict({"schedule": {"mode": "dynamic", "lambda_h": "0.5"}})
+    with pytest.raises(ConfigError, match="alpha"):
+        parse_config_dict({"partition": {"scheme": "dirichlet", "alpha": False}})
+    with pytest.raises(ConfigError, match="exponent"):
+        parse_config_dict({"partition": {"scheme": "power_law", "exponent": [1.2]}})
+    # JSON integers are numbers too
+    cfg = parse_config_dict({"eta": 1, "dp": {"epsilon": 2, "xi": 3}})
+    assert cfg.eta == 1.0 and cfg.dp.epsilon == 2 and cfg.dp.xi == 3
+
+
 def test_idx_data_requires_model():
     raw = {"data": {"kind": "idx", "train_images": "a", "train_labels": "b",
                     "test_images": "c", "test_labels": "d"}}
@@ -352,6 +374,17 @@ def test_cli_sweep_long_inline_grid(tmp_path, capsys):
     summary = (out / "summary.csv").read_text().splitlines()
     assert len(summary) == 101
     assert summary[-1].startswith("cell_099,99,")
+
+
+def test_cli_sweep_invalid_cell_runs_nothing(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "sweep"
+    grid = json.dumps({"per_round": [2, 100], "rounds": [3]})
+    code = main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)])
+    assert code == 2
+    assert "'per_round': 100" in capsys.readouterr().err
+    # no cell_* directory and no summary.csv: nothing was created at all
+    assert not out.exists()
 
 
 def test_cli_bad_config_exits_nonzero(tmp_path, capsys):

@@ -186,6 +186,23 @@ def test_l1_norm_examples():
     assert l1_norm(ParamSet({"a": np.zeros(5)})) == 0.0
 
 
+def test_l1_norm_equals_per_tensor_sums():
+    # at this size and seed one sum over the whole vector rounds differently
+    spec = ModelSpec("mlp", input_dim=64, num_classes=10, hidden_dim=256)
+    params = init_params(spec, np.random.default_rng(3))
+    tensors = [params[name] for name in params.names]
+    assert l1_norm(params) == sum(np.abs(v).sum() for v in tensors)
+
+
+def test_named_tensors_are_read_only_views():
+    params = init_params(MLP, np.random.default_rng(10))
+    with pytest.raises(ValueError):
+        params["w1"][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        params.vector[0] = 1.0
+    assert np.shares_memory(params["w1"], params.vector)
+
+
 def test_clip_example_and_passthrough():
     g = ParamSet({"a": np.array([3.0, -3.0])})
     clipped = clip_gradient_l1(g, 3.0)

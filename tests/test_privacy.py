@@ -174,6 +174,29 @@ def test_lipschitz_estimate_empty_and_single_epoch():
     assert lipschitz_estimate(trace) == 0.0
 
 
+def test_lipschitz_estimate_matches_all_pairs_oracle():
+    """Epochs of uneven length: batch j is compared only with batch j of
+    the epoch just before it, never with an older epoch's batch j."""
+    rng = np.random.default_rng(8)
+    epochs = [[(_ps(*rng.standard_normal(3)), _ps(*rng.standard_normal(3)))
+               for _ in range(k)] for k in (3, 1, 4, 2, 0, 2)]
+    # epoch 0's batch 1 against epoch 2's batch 1 would give a ratio of 1e6
+    epochs[0][1] = (_ps(1e3, 0.0, 0.0), _ps(0.0, 0.0, 0.0))
+    epochs[2][1] = (_ps(0.0, 0.0, 0.0), _ps(1e-3, 0.0, 0.0))
+    trace = BatchTrace()
+    for epoch in epochs:
+        trace.start_epoch()
+        for grad, params in epoch:
+            trace.record(grad, params)
+    want = max(
+        l1_norm(g1 - g2) / l1_norm(p1 - p2)
+        for first, second in zip(epochs, epochs[1:])
+        for (g1, p1), (g2, p2) in zip(first, second)
+    )
+    assert want < 1e6
+    assert lipschitz_estimate(trace) == want
+
+
 def test_batch_trace_requires_epoch():
     with pytest.raises(ValueError):
         BatchTrace().record(_ps(1.0), _ps(0.0))
@@ -221,6 +244,16 @@ def test_laplace_noise_matches_inverse_cdf_formula():
     u = np.random.default_rng(3).random(8) - 0.5
     want = -scale * np.sign(u) * np.log(1.0 - 2.0 * np.abs(u))
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_laplace_noise_equals_per_tensor_draws():
+    like = ParamSet({"w1": np.zeros((4, 3)), "b1": np.zeros(4), "w2": np.zeros((2, 4)),
+                     "b2": np.zeros(2)})
+    noise = laplace_noise(0.7, like, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for name, value in like.items():
+        want = _laplace_from_uniform(rng.random(value.size) - 0.5, 0.7).reshape(value.shape)
+        assert np.array_equal(noise[name], want)
 
 
 def test_laplace_kernel_boundary_is_finite():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedqdp.models import ParamSet
+from fedqdp.models import ModelSpec, ParamSet, init_params
 from fedqdp.quantize import (
     QuantizedTensor,
     _round_clip,
@@ -206,3 +206,23 @@ def test_quantize_params_single_stream_is_order_sensitive():
     b = quantize_params(params, 2, np.random.default_rng(10))
     for (_, qa), (_, qb) in zip(a.entries, b.entries):
         assert np.array_equal(qa.codes, qb.codes)
+
+
+def test_quantize_params_equals_per_tensor_quantize():
+    """The flat path gives the codes and scales of quantize() applied tensor
+    by tensor on one generator, all-zero and empty tensors included."""
+    base = init_params(ModelSpec("mlp", input_dim=5, num_classes=3, hidden_dim=7),
+                       np.random.default_rng(11))
+    mlp = ParamSet({"w1": base["w1"], "b1": np.linspace(-0.3, 0.2, 7), "w2": base["w2"],
+                    "b2": np.zeros(3)})
+    ragged = ParamSet({"a": np.zeros(0), "b": [0.5, -2.0], "c": np.zeros((2, 0))})
+    for params in (mlp, ragged):
+        for bits in (2, 8, 32):
+            q = quantize_params(params, bits, np.random.default_rng(12))
+            rng = np.random.default_rng(12)
+            for (name, qt), (_, value) in zip(q.entries, params.items(), strict=True):
+                ref = quantize(value, bits, rng)
+                assert qt.shape == ref.shape
+                assert qt.scale == ref.scale
+                assert np.array_equal(qt.codes, ref.codes)
+                assert np.array_equal(dequantize_params(q)[name], dequantize(ref))
