@@ -23,6 +23,7 @@ from fedqdp.config import ConfigError, grid_cells, load_config_dict, parse_confi
 from fedqdp.federation import run_experiment
 from fedqdp.metrics import (
     RunManifest,
+    _atomic_write,
     best_accuracy,
     compare_runs,
     record_to_row,
@@ -133,23 +134,24 @@ def _cmd_sweep(args) -> int:
     out_root = Path(args.out or _default_out())
     out_root.mkdir(parents=True, exist_ok=True)
     keys = sorted(grid)
+    rows = [["cell", *keys, "total_bits", "best_test_acc", "best_round"]]
+    for i, (overrides, cell_raw) in enumerate(cells):
+        cell_dir = out_root / f"cell_{i:03d}"
+        summary = _execute(cell_raw, cell_dir, args.format)
+        rows.append(
+            [
+                cell_dir.name,
+                *[overrides[k] for k in keys],
+                summary["total_bits"],
+                "" if summary["best_test_acc"] is None else f"{summary['best_test_acc']:.6f}",
+                "" if summary["best_round"] is None else summary["best_round"],
+            ]
+        )
+        print(f"{cell_dir.name}: {overrides} -> total_bits={summary['total_bits']}")
+    # written once, after every cell ran: a failed cell leaves no partial summary
     summary_path = out_root / "summary.csv"
-    with open(summary_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["cell", *keys, "total_bits", "best_test_acc", "best_round"])
-        for i, (overrides, cell_raw) in enumerate(cells):
-            cell_dir = out_root / f"cell_{i:03d}"
-            summary = _execute(cell_raw, cell_dir, args.format)
-            writer.writerow(
-                [
-                    cell_dir.name,
-                    *[overrides[k] for k in keys],
-                    summary["total_bits"],
-                    "" if summary["best_test_acc"] is None else f"{summary['best_test_acc']:.6f}",
-                    "" if summary["best_round"] is None else summary["best_round"],
-                ]
-            )
-            print(f"{cell_dir.name}: {overrides} -> total_bits={summary['total_bits']}")
+    with _atomic_write(summary_path, newline="") as f:
+        csv.writer(f).writerows(rows)
     print(f"summary: {summary_path}")
     return 0
 

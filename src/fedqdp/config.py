@@ -1,9 +1,10 @@
 """JSON experiment configs with strict key checking.
 
 Unknown keys are rejected at every level so typos fail loudly. Missing
-optional keys fall back to documented defaults (eta 0.1, batch_size 64,
-local_epochs 5, and so on). The model section may be omitted for blob data,
-in which case a logistic model matching the data dimensions is assumed.
+optional keys fall back to the defaults of the dataclass they configure
+(eta 0.1, batch_size 64, and so on, on ExperimentConfig). The model section
+may be omitted for blob data, in which case a logistic model matching the
+data dimensions is assumed.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ class ConfigError(ValueError):
     """Config file problem: unknown key, bad type, or inconsistent values."""
 
 
-_TOP_KEYS = {
-    "rounds", "clients", "per_round", "local_epochs", "batch_size", "eta",
-    "seed", "eval_every", "model", "schedule", "dp", "data", "partition",
+# top-level scalar keys and the ExperimentConfig fields they set
+_TOP_FIELDS = {
+    "rounds": "rounds", "clients": "num_clients", "per_round": "clients_per_round",
+    "local_epochs": "local_epochs", "batch_size": "batch_size", "eta": "eta",
+    "seed": "seed", "eval_every": "eval_every",
 }
+_TOP_KEYS = set(_TOP_FIELDS) | {"model", "schedule", "dp", "data", "partition"}
 _MODEL_KEYS = {"kind", "input_dim", "num_classes", "hidden_dim"}
 _SCHEDULE_KEYS = {"mode", "b_max", "b_min", "bits", "lambda_h"}
 _DP_KEYS = {"epsilon", "xi", "delta"}
@@ -75,21 +79,21 @@ def _build(factory, where: str, **kwargs):
 def parse_config_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON object."""
     _check_keys(raw, _TOP_KEYS, "config")
-    rounds = raw.get("rounds", 100)
 
-    data_raw = dict(raw.get("data", {"kind": "blobs"}))
+    data_raw = raw.get("data", {})
+    # must be an object before its kind can be read
+    _check_keys(data_raw, _BLOBS_KEYS | _IDX_KEYS, "data")
     kind = data_raw.get("kind", "blobs")
+    fields = {k: v for k, v in data_raw.items() if k != "kind"}
     if kind == "blobs":
         _check_keys(data_raw, _BLOBS_KEYS, "data")
-        data_raw.pop("kind", None)
-        data = _build(BlobsConfig, "data", **data_raw)
+        data = _build(BlobsConfig, "data", **fields)
     elif kind == "idx":
         _check_keys(data_raw, _IDX_KEYS, "data")
-        data_raw.pop("kind", None)
-        missing = sorted(_IDX_KEYS - {"kind"} - set(data_raw))
+        missing = sorted(_IDX_KEYS - {"kind"} - set(fields))
         if missing:
             raise ConfigError(f"data kind 'idx' requires key(s) {missing}")
-        data = _build(IdxConfig, "data", **data_raw)
+        data = _build(IdxConfig, "data", **fields)
     else:
         raise ConfigError(f"data.kind must be 'blobs' or 'idx', got {kind!r}")
 
@@ -102,11 +106,9 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         _check_keys(model_raw, _MODEL_KEYS, "model")
         model = _build(ModelSpec, "model", **model_raw)
 
-    schedule_raw = dict(raw.get("schedule", {"mode": "static", "bits": 32}))
+    schedule_raw = raw.get("schedule", {"mode": "static"})
     _check_keys(schedule_raw, _SCHEDULE_KEYS, "schedule")
-    schedule = _build(
-        ScheduleConfig, "schedule", total_rounds=max(rounds, 1), **schedule_raw
-    )
+    schedule = _build(ScheduleConfig, "schedule", **schedule_raw)
 
     dp_raw = raw.get("dp")
     dp = None
@@ -114,10 +116,11 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         _check_keys(dp_raw, _DP_KEYS, "dp")
         dp = _build(DpConfig, "dp", **dp_raw)
 
-    partition_raw = raw.get("partition", {"scheme": "dirichlet"})
+    partition_raw = raw.get("partition", {})
     _check_keys(partition_raw, _PARTITION_KEYS, "partition")
     partition = _build(PartitionConfig, "partition", **partition_raw)
 
+    scalars = {field: raw[key] for key, field in _TOP_FIELDS.items() if key in raw}
     return _build(
         ExperimentConfig,
         "config",
@@ -126,14 +129,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         data=data,
         partition=partition,
         dp=dp,
-        rounds=rounds,
-        num_clients=raw.get("clients", 50),
-        clients_per_round=raw.get("per_round", 5),
-        local_epochs=raw.get("local_epochs", 5),
-        batch_size=raw.get("batch_size", 64),
-        eta=float(raw.get("eta", 0.1)),
-        seed=raw.get("seed", 0),
-        eval_every=raw.get("eval_every", 10),
+        **scalars,
     )
 
 

@@ -10,7 +10,7 @@ header (one fp32 scale and a one-byte width tag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +33,9 @@ from fedqdp.models import (
     predict,
     sgd_step,
 )
-from fedqdp.privacy import (
-    BatchTrace,
-    DpConfig,
-    RoundScaling,
-    SensitivityInputs,
-    laplace_noise,
-    lipschitz_estimate,
-    noise_scale,
-    perturb,
-    sensitivity,
-)
+from fedqdp.privacy import BatchTrace, DpConfig, laplace_noise, noise_scale, sensitivity
 from fedqdp.quantize import QuantizedParamSet, dequantize_params, quantize_params
-from fedqdp.schedule import ImportanceInputs, ScheduleConfig, schedule_bits
+from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 
 SCALE_BITS = 32
 TAG_BITS = 8
@@ -119,11 +109,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.schedule.total_rounds != max(self.rounds, 1):
-            raise ValueError(
-                f"schedule.total_rounds {self.schedule.total_rounds} must equal "
-                f"max(rounds, 1) = {max(self.rounds, 1)}"
-            )
 
 
 @dataclass
@@ -140,7 +125,6 @@ class ServerState:
 class ClientUpdate:
     params: QuantizedParamSet
     dataset_size: int
-    bits: int
 
 
 @dataclass(frozen=True)
@@ -201,12 +185,10 @@ def evaluate(spec: ModelSpec, params: ParamSet, dataset: LabeledDataset) -> floa
     return float(np.mean(predict(spec, params, dataset.features) == dataset.labels))
 
 
-def broadcast_bits(schedule_cfg: ScheduleConfig, t: int) -> int:
+def broadcast_bits(schedule_cfg: ScheduleConfig, t: int, rounds: int) -> int:
     """Bit width of the server broadcast: static width, or the cosine width
     at full weight. The dynamic mode damps uploads only."""
-    if schedule_cfg.mode == "dynamic":
-        schedule_cfg = replace(schedule_cfg, mode="cosine")
-    return schedule_bits(schedule_cfg, t)
+    return schedule_bits(schedule_cfg, t, rounds, nu=1.0)
 
 
 def client_update(
@@ -243,36 +225,22 @@ def client_update(
             params = sgd_step(params, grad, cfg.eta)
 
     if cfg.dp is not None:
-        lam = lipschitz_estimate(trace)
-        sens = sensitivity(
-            SensitivityInputs(lam, cfg.eta, cfg.local_epochs, n_i, cfg.dp.xi)
-        )
+        sens = sensitivity(trace.estimate, cfg.eta, cfg.local_epochs, n_i, cfg.dp.xi)
         scale = noise_scale(
-            sens,
-            cfg.dp,
-            RoundScaling(
-                participants=cfg.clients_per_round,
-                total_rounds=cfg.rounds,
-                num_clients=cfg.num_clients,
-                local_epochs=cfg.local_epochs,
-            ),
+            sens, cfg.dp, cfg.clients_per_round, cfg.rounds, cfg.num_clients, cfg.local_epochs
         )
-        noise = laplace_noise(
+        params = params + laplace_noise(
             scale, params, streams.substream(cfg.seed, streams.CLIENT_NOISE, t, client.client_id)
         )
-        params = perturb(params, noise)
 
-    importance = ImportanceInputs(
-        label_counts=client.label_counts,
-        dataset_size=n_i,
-        max_dataset_size=max_dataset_size,
-        num_classes=cfg.model.num_classes,
-    )
-    bits = schedule_bits(cfg.schedule, t, importance)
+    nu = None
+    if cfg.schedule.mode == "dynamic":
+        nu = client_importance(client.label_counts, max_dataset_size, cfg.schedule.lambda_h)
+    bits = schedule_bits(cfg.schedule, t, cfg.rounds, nu)
     q = quantize_params(
         params, bits, streams.substream(cfg.seed, streams.CLIENT_ROUNDING, t, client.client_id)
     )
-    return ClientUpdate(params=q, dataset_size=n_i, bits=bits)
+    return ClientUpdate(params=q, dataset_size=n_i)
 
 
 def aggregate(updates: list[ClientUpdate]) -> ParamSet:
@@ -362,7 +330,7 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
         ids = select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)
-        b_t = broadcast_bits(cfg.schedule, t)
+        b_t = broadcast_bits(cfg.schedule, t, cfg.rounds)
         q_global = quantize_params(
             state.params, b_t, streams.substream(cfg.seed, streams.SERVER_ROUNDING, t)
         )
@@ -388,7 +356,7 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
             selected=tuple(int(i) for i in ids),
             downlink_bits=downlink,
             uplink_bits=uplink,
-            mean_bits=round(float(np.mean([u.bits for u in updates])), 6),
+            mean_bits=round(float(np.mean([u.params.bits for u in updates])), 6),
             test_acc=test_acc,
             train_acc=train_acc,
         )

@@ -21,7 +21,12 @@ _LAPLACE_FLOOR = np.finfo(np.float64).tiny
 
 @dataclass(frozen=True)
 class DpConfig:
-    """Privacy budget per client. Only pure epsilon-DP is supported."""
+    """Laplace privacy budget. Only pure epsilon-DP is supported.
+
+    A client's expected total under basic composition is epsilon * E, not
+    epsilon (see noise_scale). The sensitivity depends on the client's own
+    data through the smoothness lambda_i it estimates from its gradients.
+    """
 
     epsilon: float
     xi: float
@@ -36,50 +41,6 @@ class DpConfig:
             raise ValueError(f"only delta = 0 is supported, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class SensitivityInputs:
-    lambda_i: float
-    eta: float
-    local_epochs: int
-    dataset_size: int
-    xi: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.lambda_i) or self.lambda_i < 0:
-            raise ValueError(f"lambda_i must be non-negative and finite, got {self.lambda_i}")
-        if not np.isfinite(self.eta) or self.eta <= 0:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if self.dataset_size < 1:
-            raise ValueError(f"dataset_size must be >= 1, got {self.dataset_size}")
-        if not np.isfinite(self.xi) or self.xi <= 0:
-            raise ValueError(f"xi must be positive and finite, got {self.xi}")
-
-
-@dataclass(frozen=True)
-class RoundScaling:
-    """Participation counts that spread the budget over the whole run."""
-
-    participants: int
-    total_rounds: int
-    num_clients: int
-    local_epochs: int
-
-    def __post_init__(self):
-        if self.num_clients < 1:
-            raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
-        if not (1 <= self.participants <= self.num_clients):
-            raise ValueError(
-                f"need 1 <= participants <= num_clients, "
-                f"got {self.participants} and {self.num_clients}"
-            )
-        if self.total_rounds < 1:
-            raise ValueError(f"total_rounds must be >= 1, got {self.total_rounds}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
-
-
 @dataclass
 class BatchTrace:
     """Running smoothness estimate over same-batch, consecutive-epoch pairs.
@@ -88,7 +49,9 @@ class BatchTrace:
     estimate how fast the gradient field changes between epochs. Only the
     latest (grad, params) per batch index is held: recording batch j
     compares it with batch j of the previous epoch, when that epoch had
-    one, and then replaces it.
+    one, and then replaces it. estimate is the maximum of
+    ||grad - grad'||_1 / ||params - params'||_1 over those pairs; pairs
+    with identical parameters are skipped, and no usable pair leaves 0.0.
     """
 
     estimate: float = 0.0
@@ -115,13 +78,6 @@ class BatchTrace:
         else:
             self._latest[j] = (grad, params)
         self._batch = j + 1
-
-
-def lipschitz_estimate(trace: BatchTrace) -> float:
-    """Max ratio ||grad - grad'||_1 / ||params - params'||_1 over all
-    same-batch consecutive-epoch pairs. Pairs with identical parameters are
-    skipped; no usable pair gives 0.0."""
-    return trace.estimate
 
 
 def compute_e0(lambda_i: float, eta: float, dataset_size: int) -> int:
@@ -152,7 +108,7 @@ def compute_e0(lambda_i: float, eta: float, dataset_size: int) -> int:
     return hi
 
 
-def sensitivity(inputs: SensitivityInputs) -> float:
+def sensitivity(lambda_i: float, eta: float, local_epochs: int, dataset_size: int, xi: float) -> float:
     """L1 sensitivity of the final local parameters to one sample change.
 
     Three regimes: a flat-gradient bound linear in epochs when lambda_i = 0,
@@ -161,8 +117,17 @@ def sensitivity(inputs: SensitivityInputs) -> float:
     1 + n. The middle branch uses expm1/log1p so it meets the lambda_i = 0
     branch continuously.
     """
-    lam, eta, epochs = inputs.lambda_i, inputs.eta, inputs.local_epochs
-    n, xi = inputs.dataset_size, inputs.xi
+    if not np.isfinite(lambda_i) or lambda_i < 0:
+        raise ValueError(f"lambda_i must be non-negative and finite, got {lambda_i}")
+    if not np.isfinite(eta) or eta <= 0:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if local_epochs < 1:
+        raise ValueError(f"local_epochs must be >= 1, got {local_epochs}")
+    if dataset_size < 1:
+        raise ValueError(f"dataset_size must be >= 1, got {dataset_size}")
+    if not np.isfinite(xi) or xi <= 0:
+        raise ValueError(f"xi must be positive and finite, got {xi}")
+    lam, epochs, n = lambda_i, local_epochs, dataset_size
     if lam == 0.0:
         return 2.0 * xi * epochs * eta / n
     growth = 1.0 + lam * eta
@@ -172,14 +137,34 @@ def sensitivity(inputs: SensitivityInputs) -> float:
     return 2.0 * xi + 2.0 * eta * xi * (epochs - e0)
 
 
-def noise_scale(sensitivity_value: float, dp: DpConfig, scaling: RoundScaling) -> float:
+def noise_scale(
+    sensitivity_value: float,
+    dp: DpConfig,
+    participants: int,
+    rounds: int,
+    num_clients: int,
+    local_epochs: int,
+) -> float:
     """Laplace scale: expected participations per epoch times sensitivity
-    over epsilon, i.e. (P T / (N E)) * sens / epsilon."""
+    over epsilon, i.e. (P T / (N E)) * sens / epsilon.
+
+    Each release spends epsilon * N * E / (P * T); over the P * T / N
+    rounds a client expects to join, basic composition (Dwork & Roth,
+    2014) gives an expected total of epsilon * E.
+    """
     if not np.isfinite(sensitivity_value) or sensitivity_value < 0:
         raise ValueError(f"sensitivity must be non-negative and finite, got {sensitivity_value}")
-    factor = (scaling.participants * scaling.total_rounds) / (
-        scaling.num_clients * scaling.local_epochs
-    )
+    if num_clients < 1:
+        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+    if not (1 <= participants <= num_clients):
+        raise ValueError(
+            f"need 1 <= participants <= num_clients, got {participants} and {num_clients}"
+        )
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if local_epochs < 1:
+        raise ValueError(f"local_epochs must be >= 1, got {local_epochs}")
+    factor = (participants * rounds) / (num_clients * local_epochs)
     return factor * sensitivity_value / dp.epsilon
 
 
@@ -202,8 +187,3 @@ def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> Par
         return like.zeros_like()
     u = rng.random(like.num_elements) - 0.5
     return ParamSet.from_vector(like.layout, _laplace_from_uniform(u, scale))
-
-
-def perturb(params: ParamSet, noise: ParamSet) -> ParamSet:
-    """Add noise to parameters; shapes must match exactly."""
-    return params + noise

@@ -23,7 +23,6 @@ class ScheduleConfig:
     mode: str
     b_max: int = 32
     b_min: int = 8
-    total_rounds: int = 1
     lambda_h: float = 0.75
     bits: int = 32  # static mode only
 
@@ -35,40 +34,10 @@ class ScheduleConfig:
                 f"need {BITS_MIN} <= b_min <= b_max <= {BITS_MAX}, "
                 f"got b_min={self.b_min}, b_max={self.b_max}"
             )
-        if self.total_rounds < 1:
-            raise ValueError(f"total_rounds must be >= 1, got {self.total_rounds}")
         if not (0.0 <= self.lambda_h <= 1.0):
             raise ValueError(f"lambda_h must lie in [0, 1], got {self.lambda_h}")
         if self.mode == "static" and not (BITS_MIN <= self.bits <= BITS_MAX):
             raise ValueError(f"static bits must lie in [{BITS_MIN}, {BITS_MAX}], got {self.bits}")
-
-
-@dataclass(frozen=True)
-class ImportanceInputs:
-    """Per-client quantities the dynamic schedule depends on."""
-
-    label_counts: np.ndarray
-    dataset_size: int
-    max_dataset_size: int
-    num_classes: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.label_counts)
-        if counts.ndim != 1 or counts.shape[0] != self.num_classes:
-            raise ValueError(f"label_counts must have length {self.num_classes}")
-        if np.any(counts < 0):
-            raise ValueError("label_counts must be non-negative")
-        if int(counts.sum()) != self.dataset_size:
-            raise ValueError(
-                f"label_counts sum {int(counts.sum())} != dataset_size {self.dataset_size}"
-            )
-        if not (1 <= self.dataset_size <= self.max_dataset_size):
-            raise ValueError(
-                f"need 1 <= dataset_size <= max_dataset_size, "
-                f"got {self.dataset_size} and {self.max_dataset_size}"
-            )
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
 
 
 def cosine_bits(t: int, horizon: int, b_max: float, b_min: float, nu: float) -> float:
@@ -113,34 +82,39 @@ def normalized_entropy(label_counts: np.ndarray, num_classes: int) -> float:
     return float(min(1.0, max(0.0, h)))
 
 
-def client_importance(inputs: ImportanceInputs, lambda_h: float) -> float:
+def client_importance(label_counts: np.ndarray, max_dataset_size: int, lambda_h: float) -> float:
     """Mix of label entropy and relative dataset size, in [0, 1].
 
-    lambda_h weights the entropy term; 1 - lambda_h weights
+    The dataset size is the sum of label_counts and the class count its
+    length. lambda_h weights the entropy term; 1 - lambda_h weights
     dataset_size / max_dataset_size.
     """
     if not (0.0 <= lambda_h <= 1.0):
         raise ValueError(f"lambda_h must lie in [0, 1], got {lambda_h}")
-    entropy = normalized_entropy(inputs.label_counts, inputs.num_classes)
-    size_ratio = inputs.dataset_size / inputs.max_dataset_size
-    return lambda_h * entropy + (1.0 - lambda_h) * size_ratio
+    counts = np.asarray(label_counts)
+    dataset_size = int(counts.sum())
+    if not (1 <= dataset_size <= max_dataset_size):
+        raise ValueError(
+            f"need 1 <= dataset_size <= max_dataset_size, "
+            f"got {dataset_size} and {max_dataset_size}"
+        )
+    entropy = normalized_entropy(counts, counts.size)
+    return lambda_h * entropy + (1.0 - lambda_h) * (dataset_size / max_dataset_size)
 
 
-def schedule_bits(cfg: ScheduleConfig, t: int, importance: ImportanceInputs | None = None) -> int:
-    """Integer bit width for round t.
+def schedule_bits(cfg: ScheduleConfig, t: int, rounds: int, nu: float | None = None) -> int:
+    """Integer bit width for round t of a run of the given number of rounds.
 
     static ignores t; cosine anneals with full weight; dynamic damps the
-    annealed term by the client importance and requires importance inputs.
+    annealed term by the client importance nu, which it requires.
     """
-    if not (0 <= t < cfg.total_rounds):
-        raise ValueError(f"round {t} outside [0, {cfg.total_rounds})")
+    if not (0 <= t < rounds):  # also rejects rounds < 1
+        raise ValueError(f"round {t} outside [0, {rounds})")
     if cfg.mode == "static":
         return cfg.bits
-    if cfg.mode == "dynamic":
-        if importance is None:
-            raise ValueError("dynamic schedule requires importance inputs")
-        nu = client_importance(importance, cfg.lambda_h)
-    else:
+    if cfg.mode == "cosine":
         nu = 1.0
-    horizon = max(cfg.total_rounds - 1, 1)
+    elif nu is None:
+        raise ValueError("dynamic schedule requires the client importance nu")
+    horizon = max(rounds - 1, 1)
     return round_bits(cosine_bits(t, horizon, cfg.b_max, cfg.b_min, nu), cfg.b_min, cfg.b_max)

@@ -23,9 +23,9 @@ from fedqdp.federation import (
 )
 from fedqdp.metrics import read_records, write_records
 from fedqdp.models import ModelSpec, ParamSet, init_params, loss_and_grad, sgd_step
-from fedqdp.privacy import DpConfig, SensitivityInputs, compute_e0, laplace_noise, sensitivity
+from fedqdp.privacy import DpConfig, compute_e0, laplace_noise, sensitivity
 from fedqdp.quantize import dequantize, quantize
-from fedqdp.schedule import ImportanceInputs, ScheduleConfig, client_importance, schedule_bits
+from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -54,9 +54,9 @@ def test_acceptance_1_cosine_communication_ratio():
         batch_size=64, eta=0.1, seed=0, eval_every=1000,
     )
     cosine = run_experiment(ExperimentConfig(
-        schedule=ScheduleConfig(mode="cosine", b_max=32, b_min=8, total_rounds=1000), **base))
+        schedule=ScheduleConfig(mode="cosine", b_max=32, b_min=8), **base))
     static = run_experiment(ExperimentConfig(
-        schedule=ScheduleConfig(mode="static", bits=32, total_rounds=1000), **base))
+        schedule=ScheduleConfig(mode="static", bits=32), **base))
     ratio = _total_bits(cosine) / _total_bits(static)
     elapsed = perf_counter() - started
     ok = abs(ratio - 0.625) <= 0.005 and elapsed < 60
@@ -73,8 +73,7 @@ def test_acceptance_2_dynamic_never_exceeds_cosine():
     def run(mode, lambda_h, seed):
         cfg = ExperimentConfig(
             model=ModelSpec("logistic", 2, 3),
-            schedule=ScheduleConfig(mode=mode, b_max=32, b_min=8,
-                                    lambda_h=lambda_h, total_rounds=rounds),
+            schedule=ScheduleConfig(mode=mode, b_max=32, b_min=8, lambda_h=lambda_h),
             data=data, partition=part, rounds=rounds, num_clients=n_clients,
             clients_per_round=per_round, local_epochs=1, batch_size=64,
             eta=0.1, seed=seed, eval_every=rounds,
@@ -99,8 +98,7 @@ def test_acceptance_2_dynamic_never_exceeds_cosine():
                 ids = select_clients(n_clients, per_round, t, seed)
                 n_max = max(sizes[i] for i in ids)
                 for i in ids:
-                    nu = client_importance(
-                        ImportanceInputs(hists[i], sizes[i], n_max, 3), lambda_h)
+                    nu = client_importance(hists[i], n_max, lambda_h)
                     damped = damped or nu < 1.0
             ok = ok and dyn_up <= cos_up and (not damped or dyn_up < cos_up)
             reductions.append(100 * (1 - dyn_up / cos_up))
@@ -165,15 +163,15 @@ def test_acceptance_4_sensitivity_oracle_and_continuity():
         epochs = int(rng.integers(1, 21))
         n = int(rng.integers(1, 10_000))
         xi = 10.0 ** rng.uniform(-1, 3)
-        got = sensitivity(SensitivityInputs(lam, eta, epochs, n, xi))
+        got = sensitivity(lam, eta, epochs, n, xi)
         want = _oracle_sensitivity(lam, eta, epochs, n, xi)
         ok = ok and abs(got - want) <= 1e-8 * max(want, 1e-300)
 
     worst_cont = 0.0
     for eta, epochs, n, xi in ((0.1, 5, 100, 100.0), (0.5, 12, 7, 3.0), (0.01, 20, 5000, 250.0)):
-        base = sensitivity(SensitivityInputs(0.0, eta, epochs, n, xi))
+        base = sensitivity(0.0, eta, epochs, n, xi)
         for lam in (1e-8, 1e-10, 1e-12):
-            near = sensitivity(SensitivityInputs(lam, eta, epochs, n, xi))
+            near = sensitivity(lam, eta, epochs, n, xi)
             worst_cont = max(worst_cont, abs(near - base) / base)
     ok = ok and worst_cont <= 1e-6
 
@@ -218,17 +216,16 @@ def test_acceptance_6_convergence_with_quantization_and_dp():
         )
         return run_experiment(cfg)[-1].test_acc
 
-    fp32 = run(ScheduleConfig(mode="static", bits=32, total_rounds=rounds))
-    int8 = run(ScheduleConfig(mode="static", bits=8, total_rounds=rounds))
-    dynamic = run(ScheduleConfig(mode="dynamic", b_max=32, b_min=8,
-                                 lambda_h=0.75, total_rounds=rounds))
+    fp32 = run(ScheduleConfig(mode="static", bits=32))
+    int8 = run(ScheduleConfig(mode="static", bits=8))
+    dynamic = run(ScheduleConfig(mode="dynamic", b_max=32, b_min=8, lambda_h=0.75))
     dp_loose = np.mean([
-        run(ScheduleConfig(mode="static", bits=32, total_rounds=rounds),
+        run(ScheduleConfig(mode="static", bits=32),
             dp=DpConfig(epsilon=1e4, xi=100.0), seed=seed)
         for seed in range(5)
     ])
     dp_tight = np.mean([
-        run(ScheduleConfig(mode="static", bits=32, total_rounds=rounds),
+        run(ScheduleConfig(mode="static", bits=32),
             dp=DpConfig(epsilon=1e2, xi=100.0), seed=seed)
         for seed in range(5)
     ])
@@ -250,7 +247,7 @@ def test_acceptance_7_single_client_matches_centralized_sgd():
     rounds = 40
     cfg = ExperimentConfig(
         model=ModelSpec("logistic", 2, 3),
-        schedule=ScheduleConfig(mode="static", bits=32, total_rounds=rounds),
+        schedule=ScheduleConfig(mode="static", bits=32),
         data=BlobsConfig(num_classes=3, input_dim=2, train_per_class=50,
                          test_per_class=20, spread=0.25),
         partition=PartitionConfig(scheme="dirichlet", alpha=0.5),
@@ -305,13 +302,13 @@ def test_acceptance_8_byte_identical_and_parallel(tmp_path):
 def test_acceptance_9_schedule_endpoints_and_shape(tmp_path):
     ok = True
     for total in (2, 10, 100, 1000):
-        cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=2, total_rounds=total)
-        ok = ok and schedule_bits(cfg, 0) == 32 and schedule_bits(cfg, total - 1) == 2
+        cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=2)
+        ok = ok and schedule_bits(cfg, 0, total) == 32 and schedule_bits(cfg, total - 1, total) == 2
 
     rounds = 100
     cfg = ExperimentConfig(
         model=ModelSpec("logistic", 2, 3),
-        schedule=ScheduleConfig(mode="cosine", b_max=32, b_min=2, total_rounds=rounds),
+        schedule=ScheduleConfig(mode="cosine", b_max=32, b_min=2),
         data=BlobsConfig(num_classes=3, input_dim=2, train_per_class=30,
                          test_per_class=10, spread=0.25),
         partition=PartitionConfig(scheme="dirichlet", alpha=0.5),

@@ -33,9 +33,7 @@ PART = PartitionConfig(scheme="dirichlet", alpha=0.5)
 
 
 def make_config(rounds=10, mode="static", bits=32, dp=None, seed=0, **kw):
-    schedule = ScheduleConfig(
-        mode=mode, bits=bits, b_max=32, b_min=8, total_rounds=max(rounds, 1)
-    )
+    schedule = ScheduleConfig(mode=mode, bits=bits, b_max=32, b_min=8)
     defaults = dict(
         model=MODEL, schedule=schedule, data=DATA, partition=PART, dp=dp,
         rounds=rounds, num_clients=8, clients_per_round=3, local_epochs=2,
@@ -103,15 +101,15 @@ def test_select_clients_validation():
 
 
 def test_broadcast_bits_static_and_dynamic():
-    static = ScheduleConfig(mode="static", bits=8, total_rounds=10)
-    assert broadcast_bits(static, 0) == 8
-    dyn = ScheduleConfig(mode="dynamic", b_max=32, b_min=8, total_rounds=10)
-    cos = ScheduleConfig(mode="cosine", b_max=32, b_min=8, total_rounds=10)
+    static = ScheduleConfig(mode="static", bits=8)
+    assert broadcast_bits(static, 0, 10) == 8
+    dyn = ScheduleConfig(mode="dynamic", b_max=32, b_min=8)
+    cos = ScheduleConfig(mode="cosine", b_max=32, b_min=8)
     for t in range(10):
         # the downlink ignores importance even in dynamic mode
-        assert broadcast_bits(dyn, t) == broadcast_bits(cos, t)
-    assert broadcast_bits(cos, 0) == 32
-    assert broadcast_bits(cos, 9) == 8
+        assert broadcast_bits(dyn, t, 10) == broadcast_bits(cos, t, 10)
+    assert broadcast_bits(cos, 0, 10) == 32
+    assert broadcast_bits(cos, 9, 10) == 8
 
 
 # --- client update -----------------------------------------------------------
@@ -122,7 +120,6 @@ def test_client_update_bits_and_size():
     client = make_client(n=20)
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
     update = client_update(dequantize_params(q_global), client, cfg, t=0, max_dataset_size=30)
-    assert update.bits == 8
     assert update.dataset_size == 20
     assert update.params.bits == 8
 
@@ -187,7 +184,7 @@ def _constant_update(value, n, bits=32):
     """Constant tensors hit the scale exactly, so dequantization is exact."""
     params = ParamSet({"w": np.full((2, 2), value)})
     q = quantize_params(params, bits, np.random.default_rng(0))
-    return ClientUpdate(params=q, dataset_size=n, bits=bits)
+    return ClientUpdate(params=q, dataset_size=n)
 
 
 def test_aggregate_weights_by_dataset_size():
@@ -207,9 +204,7 @@ def test_aggregate_permutation_invariant_to_ulp():
     updates = []
     for n in (3, 7, 11, 2, 9):
         params = ParamSet({"w": rng.standard_normal((4, 3))})
-        updates.append(
-            ClientUpdate(quantize_params(params, 32, np.random.default_rng(n)), n, 32)
-        )
+        updates.append(ClientUpdate(quantize_params(params, 32, np.random.default_rng(n)), n))
     a = aggregate(updates)
     b = aggregate(updates[::-1])
     assert np.allclose(a["w"], b["w"], rtol=1e-13, atol=1e-300)
@@ -262,7 +257,7 @@ def test_bit_accounting_reconstructed_from_streams():
     train, _ = make_datasets(cfg.data, cfg.seed)
     parts = partition_dataset(train, cfg)
     params0 = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
-    b0 = broadcast_bits(cfg.schedule, 0)
+    b0 = broadcast_bits(cfg.schedule, 0, cfg.rounds)
     q_global = quantize_params(params0, b0, streams.substream(cfg.seed, streams.SERVER_ROUNDING, 0))
     expected_down = cfg.clients_per_round * comm_cost(q_global)
     assert records[0].downlink_bits == expected_down
@@ -310,11 +305,6 @@ def test_model_dataset_mismatch_rejected():
     cfg = make_config(rounds=2, model=ModelSpec("logistic", input_dim=2, num_classes=4))
     with pytest.raises(ValueError, match="classes"):
         run_experiment(cfg)
-
-
-def test_schedule_total_rounds_must_match():
-    with pytest.raises(ValueError, match="total_rounds"):
-        make_config(rounds=10, schedule=ScheduleConfig(mode="static", bits=32, total_rounds=5))
 
 
 def test_evaluate_tie_and_accuracy():

@@ -18,7 +18,7 @@ from fedqdp.config import (
     parse_config,
     parse_config_dict,
 )
-from fedqdp.federation import BlobsConfig, IdxConfig, RoundRecord
+from fedqdp.federation import BlobsConfig, ExperimentConfig, IdxConfig, RoundRecord, run_experiment
 from fedqdp.metrics import (
     best_accuracy,
     compare_runs,
@@ -51,6 +51,8 @@ def test_defaults_fill_in():
     assert cfg.num_clients == 50
     assert cfg.clients_per_round == 5
     assert cfg.seed == 0
+    assert cfg.eval_every == 10
+    assert parse_config_dict({}).rounds == ExperimentConfig.rounds == 100
     assert cfg.schedule.mode == "static" and cfg.schedule.bits == 32
     assert cfg.dp is None
     assert isinstance(cfg.data, BlobsConfig)
@@ -59,6 +61,8 @@ def test_defaults_fill_in():
     assert cfg.model.kind == "logistic"
     assert cfg.model.input_dim == cfg.data.input_dim
     assert cfg.model.num_classes == cfg.data.num_classes
+    # zero rounds builds and runs nothing
+    assert run_experiment(parse_config_dict({"rounds": 0})) == []
 
 
 def test_unknown_keys_rejected_at_every_level():
@@ -70,6 +74,14 @@ def test_unknown_keys_rejected_at_every_level():
         parse_config_dict({"dp": {"epsilon": 1.0, "xi": 1.0, "sigma": 2.0}})
     with pytest.raises(ConfigError, match="gamma"):
         parse_config_dict({"partition": {"scheme": "dirichlet", "gamma": 1.0}})
+    with pytest.raises(ConfigError, match="data must be an object, got int"):
+        parse_config_dict({"data": 5})
+    with pytest.raises(ConfigError, match="data must be an object, got str"):
+        parse_config_dict({"data": "blobs"})
+    with pytest.raises(ConfigError, match="schedule must be an object, got list"):
+        parse_config_dict({"schedule": [1]})
+    with pytest.raises(ConfigError, match="train_images"):
+        parse_config_dict({"data": {"kind": "blobs", "train_images": "x"}})
 
 
 def test_constraint_violations_name_the_problem():
@@ -387,12 +399,44 @@ def test_cli_sweep_invalid_cell_runs_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_failed_cell_writes_no_summary(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path)
+    grid = json.dumps({"seed": [0, 1, 2]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)]) == 0
+    complete = (out / "summary.csv").read_bytes()
+
+    calls = []
+
+    def run_failing_second_cell(cfg, round_hook=None):
+        calls.append(cfg.seed)
+        if len(calls) == 2:
+            raise ValueError("injected failure")
+        return run_experiment(cfg, round_hook)
+
+    monkeypatch.setattr("fedqdp.cli.run_experiment", run_failing_second_cell)
+    fresh = tmp_path / "fresh"
+    code = main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(fresh)])
+    assert code == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert (fresh / "cell_000" / "metrics.csv").exists()
+    assert sorted(p.name for p in fresh.iterdir()) == ["cell_000", "cell_001"]
+    # the complete summary of an earlier sweep into the same directory stays
+    calls.clear()
+    assert main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)]) == 2
+    assert (out / "summary.csv").read_bytes() == complete
+    assert not (out / ".summary.csv.tmp").exists()
+
+
 def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"clients": 2, "per_round": 5}))
-    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    # a non-object section is reported like any other config error
+    for bad in ({"clients": 2, "per_round": 5}, {"data": 5}, {"schedule": [1]}):
+        path.write_text(json.dumps(bad))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
 
 
 def test_cli_out_env_default(tmp_path):

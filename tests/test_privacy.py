@@ -8,14 +8,10 @@ from fedqdp.models import ParamSet, l1_norm
 from fedqdp.privacy import (
     BatchTrace,
     DpConfig,
-    RoundScaling,
-    SensitivityInputs,
     _laplace_from_uniform,
     compute_e0,
     laplace_noise,
-    lipschitz_estimate,
     noise_scale,
-    perturb,
     sensitivity,
 )
 
@@ -31,11 +27,19 @@ def test_dp_config_validation():
 
 
 def test_round_scaling_validation():
-    RoundScaling(participants=5, total_rounds=10, num_clients=50, local_epochs=5)
-    with pytest.raises(ValueError):
-        RoundScaling(participants=51, total_rounds=10, num_clients=50, local_epochs=5)
-    with pytest.raises(ValueError):
-        RoundScaling(participants=1, total_rounds=0, num_clients=1, local_epochs=5)
+    # the participation counts noise_scale spreads the budget over
+    dp = DpConfig(epsilon=1.0, xi=1.0)
+    noise_scale(1.0, dp, participants=5, rounds=10, num_clients=50, local_epochs=5)
+    with pytest.raises(ValueError, match="participants"):
+        noise_scale(1.0, dp, participants=51, rounds=10, num_clients=50, local_epochs=5)
+    with pytest.raises(ValueError, match="participants"):
+        noise_scale(1.0, dp, participants=0, rounds=10, num_clients=50, local_epochs=5)
+    with pytest.raises(ValueError, match="rounds"):
+        noise_scale(1.0, dp, participants=1, rounds=0, num_clients=1, local_epochs=5)
+    with pytest.raises(ValueError, match="num_clients"):
+        noise_scale(1.0, dp, participants=1, rounds=1, num_clients=0, local_epochs=5)
+    with pytest.raises(ValueError, match="local_epochs"):
+        noise_scale(1.0, dp, participants=1, rounds=1, num_clients=1, local_epochs=0)
 
 
 # --- threshold epoch -------------------------------------------------------
@@ -89,13 +93,9 @@ def oracle_sensitivity(lam, eta, epochs, n, xi):
     return 2.0 * xi + 2.0 * eta * xi * (epochs - e0)
 
 
-def _inputs(lam, eta, epochs, n, xi):
-    return SensitivityInputs(lam, eta, epochs, n, xi)
-
-
 def test_sensitivity_flat_gradient_branch():
     # 2 * 100 * 5 * 0.1 / 100
-    assert sensitivity(_inputs(0.0, 0.1, 5, 100, 100.0)) == 1.0
+    assert sensitivity(0.0, 0.1, 5, 100, 100.0) == 1.0
 
 
 def test_sensitivity_matches_oracle_on_random_inputs():
@@ -107,7 +107,7 @@ def test_sensitivity_matches_oracle_on_random_inputs():
         epochs = int(rng.integers(1, 21))
         n = int(rng.integers(1, 10_000))
         xi = 10.0 ** rng.uniform(-1, 3)
-        got = sensitivity(_inputs(lam, eta, epochs, n, xi))
+        got = sensitivity(lam, eta, epochs, n, xi)
         want = oracle_sensitivity(lam, eta, epochs, n, xi)
         if lam == 0.0:
             checked[1] += 1
@@ -122,21 +122,25 @@ def test_sensitivity_matches_oracle_on_random_inputs():
 
 
 def test_sensitivity_continuous_at_lambda_zero():
-    base = sensitivity(_inputs(0.0, 0.1, 5, 100, 100.0))
+    base = sensitivity(0.0, 0.1, 5, 100, 100.0)
     for lam in (1e-8, 1e-10, 1e-12):
-        near = sensitivity(_inputs(lam, 0.1, 5, 100, 100.0))
+        near = sensitivity(lam, 0.1, 5, 100, 100.0)
         assert abs(near - base) <= 1e-6 * base
 
 
 def test_sensitivity_validation():
-    with pytest.raises(ValueError):
-        _inputs(-1.0, 0.1, 5, 100, 100.0)
-    with pytest.raises(ValueError):
-        _inputs(0.0, 0.1, 0, 100, 100.0)
-    with pytest.raises(ValueError):
-        _inputs(0.0, 0.1, 5, 0, 100.0)
-    with pytest.raises(ValueError):
-        _inputs(0.0, 0.1, 5, 100, 0.0)
+    with pytest.raises(ValueError, match="lambda_i"):
+        sensitivity(-1.0, 0.1, 5, 100, 100.0)
+    with pytest.raises(ValueError, match="lambda_i"):
+        sensitivity(np.inf, 0.1, 5, 100, 100.0)
+    with pytest.raises(ValueError, match="eta"):
+        sensitivity(0.0, 0.0, 5, 100, 100.0)
+    with pytest.raises(ValueError, match="local_epochs"):
+        sensitivity(0.0, 0.1, 0, 100, 100.0)
+    with pytest.raises(ValueError, match="dataset_size"):
+        sensitivity(0.0, 0.1, 5, 0, 100.0)
+    with pytest.raises(ValueError, match="xi"):
+        sensitivity(0.0, 0.1, 5, 100, 0.0)
 
 
 # --- smoothness estimate ---------------------------------------------------
@@ -154,7 +158,7 @@ def test_lipschitz_estimate_hand_built():
     trace.start_epoch()
     trace.record(_ps(1.5, 0.0), _ps(0.5, 0.0))  # |dg|=0.5, |dp|=0.5 -> 1.0
     trace.record(_ps(5.0, 0.0), _ps(2.0, 0.0))  # |dg|=3.0, |dp|=1.0 -> 3.0
-    assert lipschitz_estimate(trace) == 3.0
+    assert trace.estimate == 3.0
 
 
 def test_lipschitz_estimate_skips_zero_denominator():
@@ -163,15 +167,15 @@ def test_lipschitz_estimate_skips_zero_denominator():
     trace.record(_ps(1.0), _ps(2.0))
     trace.start_epoch()
     trace.record(_ps(9.0), _ps(2.0))  # same params, skipped
-    assert lipschitz_estimate(trace) == 0.0
+    assert trace.estimate == 0.0
 
 
 def test_lipschitz_estimate_empty_and_single_epoch():
-    assert lipschitz_estimate(BatchTrace()) == 0.0
+    assert BatchTrace().estimate == 0.0
     trace = BatchTrace()
     trace.start_epoch()
     trace.record(_ps(1.0), _ps(0.0))
-    assert lipschitz_estimate(trace) == 0.0
+    assert trace.estimate == 0.0
 
 
 def test_lipschitz_estimate_matches_all_pairs_oracle():
@@ -194,7 +198,7 @@ def test_lipschitz_estimate_matches_all_pairs_oracle():
         for (g1, p1), (g2, p2) in zip(first, second)
     )
     assert want < 1e6
-    assert lipschitz_estimate(trace) == want
+    assert trace.estimate == want
 
 
 def test_batch_trace_requires_epoch():
@@ -207,16 +211,14 @@ def test_batch_trace_requires_epoch():
 
 def test_noise_scale_participation_factor():
     dp = DpConfig(epsilon=2.0, xi=1.0)
-    scaling = RoundScaling(participants=5, total_rounds=1000, num_clients=50, local_epochs=5)
     # (5 * 1000) / (50 * 5) = 20 expected participations per epoch
-    assert noise_scale(3.0, dp, scaling) == 20.0 * 3.0 / 2.0
+    assert noise_scale(3.0, dp, 5, 1000, 50, 5) == 20.0 * 3.0 / 2.0
 
 
 def test_noise_scale_validation():
     dp = DpConfig(epsilon=1.0, xi=1.0)
-    scaling = RoundScaling(1, 1, 1, 1)
     with pytest.raises(ValueError):
-        noise_scale(-1.0, dp, scaling)
+        noise_scale(-1.0, dp, 1, 1, 1, 1)
 
 
 def test_laplace_noise_zero_scale_is_exact_zero():
@@ -279,10 +281,3 @@ def test_laplace_noise_validation():
         laplace_noise(-1.0, like, np.random.default_rng(0))
     with pytest.raises(ValueError):
         laplace_noise(np.inf, like, np.random.default_rng(0))
-
-
-def test_perturb_adds_noise():
-    params = ParamSet({"w": np.array([1.0, 2.0])})
-    noise = ParamSet({"w": np.array([0.5, -0.5])})
-    out = perturb(params, noise)
-    assert np.array_equal(out["w"], [1.5, 1.5])

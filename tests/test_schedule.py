@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedqdp.schedule import (
-    ImportanceInputs,
     ScheduleConfig,
     client_importance,
     cosine_bits,
@@ -27,8 +26,6 @@ def test_schedule_config_validation():
         ScheduleConfig(mode="cosine", lambda_h=1.5)
     with pytest.raises(ValueError):
         ScheduleConfig(mode="static", bits=33)
-    with pytest.raises(ValueError):
-        ScheduleConfig(mode="cosine", total_rounds=0)
 
 
 def test_cosine_bits_endpoints_exact():
@@ -91,26 +88,21 @@ def test_normalized_entropy_validation():
         normalized_entropy(np.array([1, 1, 1]), 2)
 
 
-def _inputs(counts, n_max):
-    counts = np.asarray(counts)
-    return ImportanceInputs(counts, int(counts.sum()), n_max, len(counts))
-
-
 def test_client_importance_pure_entropy_and_pure_size():
-    uniform = _inputs([5, 5], 20)
-    assert client_importance(uniform, 1.0) == 1.0
-    assert client_importance(uniform, 0.0) == 0.5  # 10 of 20
-    single = _inputs([8, 0], 8)
-    assert client_importance(single, 1.0) == 0.0
-    assert client_importance(single, 0.0) == 1.0
+    uniform = np.array([5, 5])
+    assert client_importance(uniform, 20, 1.0) == 1.0
+    assert client_importance(uniform, 20, 0.0) == 0.5  # 10 of 20
+    single = np.array([8, 0])
+    assert client_importance(single, 8, 1.0) == 0.0
+    assert client_importance(single, 8, 0.0) == 1.0
 
 
 def test_client_importance_is_convex_mix():
-    inputs = _inputs([6, 2], 16)
-    h = normalized_entropy(np.array([6, 2]), 2)
+    counts = np.array([6, 2])
+    h = normalized_entropy(counts, 2)
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         expected = lam * h + (1 - lam) * 0.5
-        assert abs(client_importance(inputs, lam) - expected) < 1e-15
+        assert abs(client_importance(counts, 16, lam) - expected) < 1e-15
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,61 +115,68 @@ def test_client_importance_in_unit_interval(counts, lam, extra):
     if sum(counts) == 0:
         counts[0] = 1
     n = sum(counts)
-    nu = client_importance(_inputs(counts, n + extra), lam)
+    nu = client_importance(np.array(counts), n + extra, lam)
     assert 0.0 <= nu <= 1.0
 
 
 def test_importance_inputs_validation():
-    with pytest.raises(ValueError):
-        ImportanceInputs(np.array([1, 2]), 4, 10, 2)  # sum mismatch
-    with pytest.raises(ValueError):
-        ImportanceInputs(np.array([5, 5]), 10, 4, 2)  # exceeds max
-    with pytest.raises(ValueError):
-        ImportanceInputs(np.array([1]), 1, 4, 1)  # one class
+    # the dataset size and the class count are read off label_counts
+    with pytest.raises(ValueError, match="max_dataset_size"):
+        client_importance(np.array([5, 5]), 4, 0.5)  # exceeds max
+    with pytest.raises(ValueError, match="dataset_size"):
+        client_importance(np.array([0, 0]), 4, 0.5)  # empty
+    with pytest.raises(ValueError, match="num_classes"):
+        client_importance(np.array([1]), 4, 0.5)  # one class
+    with pytest.raises(ValueError, match="non-negative"):
+        client_importance(np.array([3, -1]), 4, 0.5)
+    with pytest.raises(ValueError, match="lambda_h"):
+        client_importance(np.array([1, 2]), 4, 1.5)
 
 
 def test_schedule_bits_static():
-    cfg = ScheduleConfig(mode="static", bits=8, total_rounds=100)
-    assert [schedule_bits(cfg, t) for t in (0, 50, 99)] == [8, 8, 8]
+    cfg = ScheduleConfig(mode="static", bits=8)
+    assert [schedule_bits(cfg, t, 100) for t in (0, 50, 99)] == [8, 8, 8]
 
 
 def test_schedule_bits_cosine_endpoints():
     for total in (2, 10, 1000):
-        cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=8, total_rounds=total)
-        assert schedule_bits(cfg, 0) == 32
-        assert schedule_bits(cfg, total - 1) == 8
+        cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=8)
+        assert schedule_bits(cfg, 0, total) == 32
+        assert schedule_bits(cfg, total - 1, total) == 8
 
 
 def test_schedule_bits_single_round_uses_b_max():
-    cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=8, total_rounds=1)
-    assert schedule_bits(cfg, 0) == 32
+    cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=8)
+    assert schedule_bits(cfg, 0, 1) == 32
 
 
 def test_schedule_bits_cosine_nonincreasing():
-    cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=2, total_rounds=200)
-    widths = [schedule_bits(cfg, t) for t in range(200)]
+    cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=2)
+    widths = [schedule_bits(cfg, t, 200) for t in range(200)]
     assert all(a >= b for a, b in zip(widths, widths[1:]))
     assert len(set(widths)) > 10
 
 
 def test_schedule_bits_dynamic_never_exceeds_cosine():
-    dyn = ScheduleConfig(mode="dynamic", b_max=32, b_min=8, lambda_h=0.75, total_rounds=50)
-    cos = ScheduleConfig(mode="cosine", b_max=32, b_min=8, total_rounds=50)
-    imp = _inputs([20, 5, 0], 100)
+    dyn = ScheduleConfig(mode="dynamic", b_max=32, b_min=8, lambda_h=0.75)
+    cos = ScheduleConfig(mode="cosine", b_max=32, b_min=8)
+    nu = client_importance(np.array([20, 5, 0]), 100, dyn.lambda_h)
     for t in range(50):
-        assert schedule_bits(dyn, t, imp) <= schedule_bits(cos, t)
-        assert schedule_bits(dyn, t, imp) >= 8
+        assert schedule_bits(dyn, t, 50, nu) <= schedule_bits(cos, t, 50)
+        assert schedule_bits(dyn, t, 50, nu) >= 8
 
 
 def test_schedule_bits_dynamic_requires_importance():
-    cfg = ScheduleConfig(mode="dynamic", b_max=32, b_min=8, total_rounds=10)
+    cfg = ScheduleConfig(mode="dynamic", b_max=32, b_min=8)
     with pytest.raises(ValueError):
-        schedule_bits(cfg, 0)
+        schedule_bits(cfg, 0, 10)
 
 
 def test_schedule_bits_round_out_of_range():
-    cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=8, total_rounds=10)
+    cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=8)
     with pytest.raises(ValueError):
-        schedule_bits(cfg, 10)
+        schedule_bits(cfg, 10, 10)
     with pytest.raises(ValueError):
-        schedule_bits(cfg, -1)
+        schedule_bits(cfg, -1, 10)
+    with pytest.raises(ValueError, match=r"outside \[0, 0\)"):
+        schedule_bits(cfg, 0, 0)  # a run needs at least one round
