@@ -67,6 +67,10 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     for key in sorted(_REAL_KEYS & set(section)):
         if not isinstance(section[key], (int, float)) or isinstance(section[key], bool):
             raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}")
+        try:
+            float(section[key])
+        except OverflowError:
+            raise ConfigError(f"{where}.{key} is too large for a float") from None
 
 
 def _build(factory, where: str, **kwargs):

@@ -143,16 +143,21 @@ class RoundRecord:
 
 @dataclass(frozen=True, eq=False)
 class ClientData:
-    """One client's shard plus its label histogram."""
+    """One client's shard plus its label histogram.
+
+    The shard is the client's row indices into the shared training set;
+    batches gather their rows from it, so the training set is held once
+    however it is partitioned.
+    """
 
     client_id: int
-    features: np.ndarray
-    labels: np.ndarray
+    dataset: LabeledDataset
+    indices: np.ndarray
     label_counts: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.features.shape[0]
+        return self.indices.shape[0]
 
 
 def comm_cost(q: QuantizedParamSet) -> int:
@@ -211,14 +216,16 @@ def client_update(
     order = streams.substream(
         cfg.seed, streams.CLIENT_BATCHING, t, client.client_id
     ).permutation(n_i)
-    batches = [order[s : s + cfg.batch_size] for s in range(0, n_i, cfg.batch_size)]
+    rows = client.indices[order]
+    batches = [rows[s : s + cfg.batch_size] for s in range(0, n_i, cfg.batch_size)]
+    features, labels = client.dataset.features, client.dataset.labels
 
     trace = BatchTrace() if cfg.dp is not None else None
     for _ in range(cfg.local_epochs):
         if trace is not None:
             trace.start_epoch()
         for batch in batches:
-            _, grad = loss_and_grad(cfg.model, params, client.features[batch], client.labels[batch])
+            _, grad = loss_and_grad(cfg.model, params, features[batch], labels[batch])
             if cfg.dp is not None:
                 trace.record(grad, params)
                 grad = clip_gradient_l1(grad, cfg.dp.xi)
@@ -298,6 +305,30 @@ def partition_dataset(train: LabeledDataset, cfg: ExperimentConfig) -> list[np.n
     )
 
 
+def _train_round(
+    params: ParamSet, clients: list[ClientData], cfg: ExperimentConfig, t: int
+) -> tuple[ParamSet, np.ndarray, int, int, float]:
+    """One round up to aggregation: broadcast, local training, upload.
+
+    Returns (aggregated parameters, selected ids, downlink bits, uplink
+    bits, mean upload width). The broadcast and the uploads are locals, so
+    they are freed on return, before the caller evaluates.
+    """
+    ids = select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)
+    b_t = broadcast_bits(cfg.schedule, t, cfg.rounds)
+    q_global = quantize_params(params, b_t, streams.substream(cfg.seed, streams.SERVER_ROUNDING, t))
+    downlink = cfg.clients_per_round * comm_cost(q_global)
+    # every client decodes the same broadcast; ParamSets are read-only,
+    # so one decoded copy is shared
+    global_params = dequantize_params(q_global)
+    selected = [clients[i] for i in ids]
+    n_max = max(c.size for c in selected)
+    updates = [client_update(global_params, c, cfg, t, n_max) for c in selected]
+    uplink = sum(comm_cost(u.params) for u in updates)
+    mean_bits = round(float(np.mean([u.params.bits for u in updates])), 6)
+    return aggregate(updates), ids, downlink, uplink, mean_bits
+
+
 def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
     """Run the full protocol and return one RoundRecord per round.
 
@@ -318,10 +349,7 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
     parts = partition_dataset(train, cfg)
     clients = [
         ClientData(
-            client_id=i,
-            features=train.features[p],
-            labels=train.labels[p],
-            label_counts=label_histogram(train, p),
+            client_id=i, dataset=train, indices=p, label_counts=label_histogram(train, p)
         )
         for i, p in enumerate(parts)
     ]
@@ -329,21 +357,7 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
 
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
-        ids = select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)
-        b_t = broadcast_bits(cfg.schedule, t, cfg.rounds)
-        q_global = quantize_params(
-            state.params, b_t, streams.substream(cfg.seed, streams.SERVER_ROUNDING, t)
-        )
-        downlink = cfg.clients_per_round * comm_cost(q_global)
-        # every client decodes the same broadcast; ParamSets are read-only,
-        # so one decoded copy is shared
-        global_params = dequantize_params(q_global)
-        selected = [clients[i] for i in ids]
-        n_max = max(c.size for c in selected)
-        updates = [client_update(global_params, c, cfg, t, n_max) for c in selected]
-        uplink = sum(comm_cost(u.params) for u in updates)
-
-        state.params = aggregate(updates)
+        state.params, ids, downlink, uplink, mean_bits = _train_round(state.params, clients, cfg, t)
         state.round = t + 1
         state.downlink_bits += downlink
         state.uplink_bits += uplink
@@ -356,7 +370,7 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
             selected=tuple(int(i) for i in ids),
             downlink_bits=downlink,
             uplink_bits=uplink,
-            mean_bits=round(float(np.mean([u.params.bits for u in updates])), 6),
+            mean_bits=mean_bits,
             test_acc=test_acc,
             train_acc=train_acc,
         )

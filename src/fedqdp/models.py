@@ -217,11 +217,22 @@ def _check_batch(spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarray
 
 
 def _logits(spec: ModelSpec, params: ParamSet, x: np.ndarray):
-    """Returns (logits, hidden activations or None)."""
+    """Returns (logits, hidden activations or None).
+
+    The bias add and tanh write into the matmul output, so a forward pass
+    over n rows holds one (n, hidden_dim) array, not two. The values equal
+    the out-of-place tanh(x @ w1.T + b1).
+    """
     if spec.kind == "logistic":
-        return x @ params["w"].T + params["b"], None
-    h = np.tanh(x @ params["w1"].T + params["b1"])
-    return h @ params["w2"].T + params["b2"], h
+        logits = x @ params["w"].T
+        logits += params["b"]
+        return logits, None
+    h = x @ params["w1"].T
+    h += params["b1"]
+    np.tanh(h, out=h)
+    logits = h @ params["w2"].T
+    logits += params["b2"]
+    return logits, h
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Protocol orchestration: selection, client updates, aggregation, accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_golden import MLP_CONFIGS
 
 from fedqdp import rng as streams
-from fedqdp.data import label_histogram
+from fedqdp.config import parse_config_dict
+from fedqdp.data import LabeledDataset, label_histogram
 from fedqdp.federation import (
     BlobsConfig,
     ClientData,
@@ -48,7 +52,12 @@ def make_client(seed=0, n=20, client_id=0):
     features = rng.standard_normal((n, 2))
     labels = rng.integers(0, 3, size=n).astype(np.int64)
     counts = np.bincount(labels, minlength=3).astype(np.int64)
-    return ClientData(client_id=client_id, features=features, labels=labels, label_counts=counts)
+    return ClientData(
+        client_id=client_id,
+        dataset=LabeledDataset(features, labels, 3),
+        indices=np.arange(n),
+        label_counts=counts,
+    )
 
 
 # --- costs -------------------------------------------------------------------
@@ -146,8 +155,9 @@ def test_client_update_trains_on_local_data():
     q_global = quantize_params(params0, 32, np.random.default_rng(1))
     update = client_update(dequantize_params(q_global), client, cfg, t=0, max_dataset_size=40)
     trained = dequantize_params(update.params)
-    loss_before, _ = loss_and_grad(MODEL, params0, client.features, client.labels)
-    loss_after, _ = loss_and_grad(MODEL, trained, client.features, client.labels)
+    x, y = client.dataset.features[client.indices], client.dataset.labels[client.indices]
+    loss_before, _ = loss_and_grad(MODEL, params0, x, y)
+    loss_after, _ = loss_and_grad(MODEL, trained, x, y)
     assert loss_after < loss_before
 
 
@@ -269,8 +279,8 @@ def test_bit_accounting_reconstructed_from_streams():
     for i in ids:
         client = ClientData(
             client_id=int(i),
-            features=train.features[parts[i]],
-            labels=train.labels[parts[i]],
+            dataset=train,
+            indices=parts[i],
             label_counts=label_histogram(train, parts[i]),
         )
         update = client_update(dequantize_params(q_global), client, cfg, 0, n_max)
@@ -351,3 +361,22 @@ def test_power_law_partition_experiment_runs():
     cfg = make_config(rounds=3, partition=PartitionConfig(scheme="power_law", exponent=1.2))
     records = run_experiment(cfg)
     assert len(records) == 3
+
+
+@pytest.mark.parametrize("name", sorted(MLP_CONFIGS))
+def test_run_holds_data_once_and_one_activation(name):
+    # Client shards are row indices, the forward pass writes into its matmul
+    # output, and a round's messages are freed before evaluation, so a run's
+    # peak is the features plus one hidden activation of the training set.
+    cfg = parse_config_dict(dict(MLP_CONFIGS[name], rounds=10))
+    train, test = make_datasets(cfg.data, cfg.seed)
+    bound = (train.features.nbytes + test.features.nbytes
+             + len(train) * cfg.model.hidden_dim * 8 + 4 * 2**20)
+    del train, test
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"

@@ -133,6 +133,13 @@ def test_real_fields_reject_strings_and_bools():
         parse_config_dict({"partition": {"scheme": "dirichlet", "alpha": False}})
     with pytest.raises(ConfigError, match="exponent"):
         parse_config_dict({"partition": {"scheme": "power_law", "exponent": [1.2]}})
+    # an integer too large for a float is named, not passed on to numpy
+    with pytest.raises(ConfigError, match="eta"):
+        parse_config_dict({"eta": 10**400})
+    with pytest.raises(ConfigError, match="spread"):
+        parse_config_dict({"data": {"kind": "blobs", "spread": 10**400}})
+    with pytest.raises(ConfigError, match="alpha"):
+        parse_config_dict({"partition": {"scheme": "dirichlet", "alpha": 10**400}})
     # JSON integers are numbers too
     cfg = parse_config_dict({"eta": 1, "dp": {"epsilon": 2, "xi": 3}})
     assert cfg.eta == 1.0 and cfg.dp.epsilon == 2 and cfg.dp.xi == 3
@@ -430,8 +437,10 @@ def test_cli_sweep_failed_cell_writes_no_summary(tmp_path, capsys, monkeypatch):
 
 def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    # a non-object section is reported like any other config error
-    for bad in ({"clients": 2, "per_round": 5}, {"data": 5}, {"schedule": [1]}):
+    # a non-object section or a number beyond the float range is reported
+    # like any other config error
+    for bad in ({"clients": 2, "per_round": 5}, {"data": 5}, {"schedule": [1]},
+                {"data": {"spread": 10**400}}):
         path.write_text(json.dumps(bad))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fedqdp.models import (
     ModelSpec,
+    _logits,
     ParamSet,
     ShapeMismatchError,
     clip_gradient_l1,
@@ -179,6 +180,57 @@ def test_duplicating_samples_preserves_loss_and_grad():
     assert abs(loss1 - loss2) < 1e-14
     for name in grad1.names:
         assert np.allclose(grad1[name], grad2[name], rtol=1e-13, atol=1e-16)
+
+
+def _reference_logits(spec, params, x):
+    """Out-of-place forward pass: every intermediate is a new array."""
+    if spec.kind == "logistic":
+        return x @ params["w"].T + params["b"], None
+    h = np.tanh(x @ params["w1"].T + params["b1"])
+    return h @ params["w2"].T + params["b2"], h
+
+
+def _reference_loss_and_grad(spec, params, x, y):
+    n = x.shape[0]
+    logits, hidden = _reference_logits(spec, params, x)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(n), y]))
+    e = np.exp(shifted)
+    onehot = np.zeros_like(logits)
+    onehot[np.arange(n), y] = 1.0
+    dlogits = (e / e.sum(axis=1, keepdims=True) - onehot) / n
+    if spec.kind == "logistic":
+        return loss, [dlogits.T @ x, dlogits.sum(axis=0)]
+    dh = (dlogits @ params["w2"]) * (1.0 - hidden * hidden)
+    return loss, [dh.T @ x, dh.sum(axis=0), dlogits.T @ hidden, dlogits.sum(axis=0)]
+
+
+# 4096 rows make the hidden activation (2 MiB) and the logistic logits
+# (320 KiB) larger than 256 KiB, where numpy reuses temporaries in place
+@pytest.mark.parametrize("n", [6, 4096])
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_forward_pass_equals_out_of_place_reference(kind, n):
+    spec = ModelSpec(kind, input_dim=8, num_classes=10, hidden_dim=64 if kind == "mlp" else 0)
+    params, x, y = random_instance(spec, np.random.default_rng(11), n=n)
+    vector_before, x_before = params.vector.copy(), x.copy()
+
+    logits, hidden = _logits(spec, params, x)
+    ref_logits, ref_hidden = _reference_logits(spec, params, x)
+    assert np.array_equal(logits, ref_logits)
+    assert (hidden is None) if kind == "logistic" else np.array_equal(hidden, ref_hidden)
+
+    shifted = ref_logits - ref_logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    assert np.array_equal(predict_proba(spec, params, x), e / e.sum(axis=1, keepdims=True))
+
+    loss, grad = loss_and_grad(spec, params, x, y)
+    ref_loss, ref_parts = _reference_loss_and_grad(spec, params, x, y)
+    assert loss == ref_loss
+    for name, ref in zip(grad.names, ref_parts):
+        assert np.array_equal(grad[name], ref), name
+
+    assert np.array_equal(params.vector, vector_before)
+    assert np.array_equal(x, x_before)
 
 
 def test_l1_norm_examples():
