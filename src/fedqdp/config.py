@@ -49,13 +49,18 @@ _INT_KEYS = {
     "input_dim", "num_classes", "hidden_dim", "b_max", "b_min", "bits",
     "train_per_class", "test_per_class",
 }
+# integer keys that reach numpy as a C long; seed goes to SeedSequence,
+# which takes any non-negative integer
+_INT64_KEYS = _INT_KEYS - {"seed"}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # keys that must hold JSON numbers (integer or real, not a bool)
 _REAL_KEYS = {"eta", "spread", "epsilon", "xi", "delta", "lambda_h", "alpha", "exponent"}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     """Reject a non-object section, unknown keys, non-integer integer keys
-    and non-numeric real keys."""
+    (or, seed aside, ones outside the 64-bit range) and non-numeric real
+    keys."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object, got {type(section).__name__}")
     unknown = sorted(set(section) - allowed)
@@ -64,6 +69,8 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     for key in sorted(_INT_KEYS & set(section)):
         if not isinstance(section[key], int) or isinstance(section[key], bool):
             raise ConfigError(f"{where}.{key} must be an integer, got {section[key]!r}")
+        if key in _INT64_KEYS and not _INT64_MIN <= section[key] <= _INT64_MAX:
+            raise ConfigError(f"{where}.{key} does not fit a 64-bit integer")
     for key in sorted(_REAL_KEYS & set(section)):
         if not isinstance(section[key], (int, float)) or isinstance(section[key], bool):
             raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}")

@@ -257,29 +257,47 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarra
     """Mean softmax cross-entropy over the batch and its exact gradient.
 
     Returns (loss, ParamSet of gradients) with the gradient laid out
-    exactly like the parameters.
+    exactly like the parameters. One exponential serves both the loss and
+    the softmax, and each gradient tensor is written straight into its
+    segment of the flat vector; the values equal the out-of-place formulas.
     """
     x, y = _check_batch(spec, params, x, y)
     n = x.shape[0]
+    rows = np.arange(n)
     logits, hidden = _logits(spec, params, x)
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_norm - shifted[np.arange(n), y]))
+    logits -= logits.max(axis=1, keepdims=True)
+    picked = logits[rows, y]
+    dlogits = np.exp(logits, out=logits)
+    total = np.add.reduce(dlogits, axis=1, keepdims=True)
+    loss = float(np.add.reduce(np.log(total[:, 0]) - picked) / n)
 
-    dlogits = _softmax(logits)
-    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= total
+    dlogits[rows, y] -= 1.0
     dlogits /= n
 
+    layout = params.layout
+    flat = np.empty(layout.size)
     if spec.kind == "logistic":
-        parts = [dlogits.T @ x, dlogits.sum(axis=0)]
+        np.matmul(dlogits.T, x, out=layout.view(flat, "w"))
+        np.add.reduce(dlogits, axis=0, out=layout.view(flat, "b"))
     else:
-        gw2 = dlogits.T @ hidden
-        gb2 = dlogits.sum(axis=0)
-        dh = (dlogits @ params["w2"]) * (1.0 - hidden * hidden)
-        parts = [dh.T @ x, dh.sum(axis=0), gw2, gb2]
-    flat = np.concatenate([part.ravel() for part in parts])
-    return loss, ParamSet.from_vector(params.layout, flat)
+        np.matmul(dlogits.T, hidden, out=layout.view(flat, "w2"))
+        np.add.reduce(dlogits, axis=0, out=layout.view(flat, "b2"))
+        dh = dlogits @ params["w2"]
+        # tanh' = 1 - hidden^2, formed in the activation's own buffer
+        hidden *= hidden
+        np.subtract(1.0, hidden, out=hidden)
+        dh *= hidden
+        np.matmul(dh.T, x, out=layout.view(flat, "w1"))
+        np.add.reduce(dh, axis=0, out=layout.view(flat, "b1"))
+    return loss, ParamSet.from_vector(layout, flat)
+
+
+def _segment_l1(layout: Layout, magnitudes: np.ndarray) -> float:
+    """Sum each tensor's segment on its own and add the sums in layout order."""
+    return float(sum(np.add.reduce(magnitudes[off : off + size])
+                     for _, _, off, size in layout.entries))
 
 
 def l1_norm(params: ParamSet) -> float:
@@ -290,8 +308,25 @@ def l1_norm(params: ParamSet) -> float:
     np.add.reduceat, rounds differently and would move every quantity
     derived from the norm.
     """
-    a = np.abs(params.vector)
-    return float(sum(a[off : off + size].sum() for _, _, off, size in params.layout.entries))
+    return _segment_l1(params.layout, np.abs(params.vector))
+
+
+def l1_distance(a: ParamSet, b: ParamSet) -> float:
+    """l1_norm(a - b), without building the difference set.
+
+    Raises ShapeMismatchError when the sets do not conform, and ValueError
+    when the difference overflows, as a - b itself does.
+    """
+    a._require_conformable(b)
+    diff = a.vector - b.vector
+    np.abs(diff, out=diff)
+    total = _segment_l1(a.layout, diff)
+    # finite - finite is finite or +-inf, so only an infinite total needs a look
+    if total == np.inf and np.isinf(diff).any():
+        bad = next(name for name, _, off, size in a.layout.entries
+                   if np.isinf(diff[off : off + size]).any())
+        raise ValueError(f"tensor {bad!r} contains non-finite values")
+    return total
 
 
 def clip_gradient_l1(grad: ParamSet, xi: float) -> ParamSet:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedqdp.models import ParamSet, l1_norm
+from fedqdp.models import ParamSet, l1_distance
 
 # smallest positive normal float, keeps log() off exact zero at |u| = 0.5
 _LAPLACE_FLOOR = np.finfo(np.float64).tiny
@@ -70,9 +70,9 @@ class BatchTrace:
         j = self._batch
         if j < self._previous_batches:
             prev_grad, prev_params = self._latest[j]
-            denom = l1_norm(prev_params - params)
+            denom = l1_distance(prev_params, params)
             if denom != 0.0:
-                self.estimate = max(self.estimate, l1_norm(prev_grad - grad) / denom)
+                self.estimate = max(self.estimate, l1_distance(prev_grad, grad) / denom)
         if j == len(self._latest):
             self._latest.append((grad, params))
         else:
@@ -169,9 +169,18 @@ def noise_scale(
 
 
 def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
-    """Map uniforms on (-1/2, 1/2) to Laplace(0, scale) via the inverse CDF."""
-    inner = np.maximum(1.0 - 2.0 * np.abs(u), _LAPLACE_FLOOR)
-    return -scale * np.sign(u) * np.log(inner)
+    """Map uniforms on (-1/2, 1/2) to Laplace(0, scale) via the inverse CDF:
+    -scale * sign(u) * log(max(1 - 2|u|, floor)), evaluated in that order
+    in two buffers."""
+    inner = np.abs(u)
+    inner *= 2.0
+    np.subtract(1.0, inner, out=inner)
+    np.maximum(inner, _LAPLACE_FLOOR, out=inner)
+    np.log(inner, out=inner)
+    out = np.sign(u)
+    out *= -scale
+    out *= inner
+    return out
 
 
 def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> ParamSet:
@@ -185,5 +194,6 @@ def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> Par
         raise ValueError(f"scale must be non-negative and finite, got {scale}")
     if scale == 0.0:
         return like.zeros_like()
-    u = rng.random(like.num_elements) - 0.5
+    u = rng.random(like.num_elements)
+    u -= 0.5
     return ParamSet.from_vector(like.layout, _laplace_from_uniform(u, scale))

@@ -27,4 +27,5 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     entropy = [int(seed)] + [int(p) for p in path]
     if any(e < 0 for e in entropy):
         raise ValueError(f"stream path entries must be non-negative, got {entropy}")
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    # the Generator default_rng builds, without its argument dispatch
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

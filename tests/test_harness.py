@@ -106,6 +106,15 @@ def test_integer_fields_reject_floats_strings_and_bools(tmp_path, capsys):
         parse_config_dict({"schedule": {"mode": "cosine", "b_min": 8.0}})
     with pytest.raises(ConfigError, match="train_per_class"):
         parse_config_dict({"data": {"kind": "blobs", "train_per_class": "30"}})
+    # integers numpy would take as a C long must fit 64 bits; seed need not
+    with pytest.raises(ConfigError, match="train_per_class"):
+        parse_config_dict({"data": {"train_per_class": 10**30}})
+    with pytest.raises(ConfigError, match="rounds"):
+        parse_config_dict({"rounds": 2**63})
+    with pytest.raises(ConfigError, match="b_max"):
+        parse_config_dict({"schedule": {"mode": "cosine", "b_max": -(2**63) - 1}})
+    assert parse_config_dict({"rounds": 2**63 - 1}).rounds == 2**63 - 1
+    assert parse_config_dict({"seed": 10**30}).seed == 10**30
     raw = dict(SMALL_RAW, model={"kind": "mlp", "input_dim": 2, "num_classes": 3,
                                  "hidden_dim": 4.5})
     path = tmp_path / "cfg.json"
@@ -440,7 +449,8 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     # a non-object section or a number beyond the float range is reported
     # like any other config error
     for bad in ({"clients": 2, "per_round": 5}, {"data": 5}, {"schedule": [1]},
-                {"data": {"spread": 10**400}}):
+                {"data": {"spread": 10**400}},
+                {"data": {"train_per_class": 10**30}, "rounds": 1}):
         path.write_text(json.dumps(bad))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2

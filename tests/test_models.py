@@ -14,6 +14,7 @@ from fedqdp.models import (
     ShapeMismatchError,
     clip_gradient_l1,
     init_params,
+    l1_distance,
     l1_norm,
     loss_and_grad,
     predict,
@@ -244,6 +245,38 @@ def test_l1_norm_equals_per_tensor_sums():
     params = init_params(spec, np.random.default_rng(3))
     tensors = [params[name] for name in params.names]
     assert l1_norm(params) == sum(np.abs(v).sum() for v in tensors)
+
+
+def test_l1_distance_equals_norm_of_difference():
+    spec = ModelSpec("mlp", input_dim=64, num_classes=10, hidden_dim=256)
+    a = init_params(spec, np.random.default_rng(3))
+    b = init_params(spec, np.random.default_rng(4))
+    assert l1_distance(a, b) == l1_norm(a - b)
+    assert l1_distance(b, a) == l1_norm(b - a)
+    assert l1_distance(a, a) == 0.0
+    c = ParamSet({"w": np.array([1.5, -2.0]), "empty": np.zeros((0, 3)), "b": np.array([0.25])})
+    d = ParamSet({"w": np.array([-0.5, 1.0]), "empty": np.zeros((0, 3)), "b": np.array([1.0])})
+    assert l1_distance(c, d) == l1_norm(c - d) == 5.75
+
+
+def test_l1_distance_rejects_non_conformable_and_overflow():
+    a = ParamSet({"w": np.zeros(2)})
+    with pytest.raises(ShapeMismatchError):
+        l1_distance(a, ParamSet({"w": np.zeros(3)}))
+    with pytest.raises(ShapeMismatchError):
+        l1_distance(a, ParamSet({"v": np.zeros(2)}))
+    big = ParamSet({"w": np.array([1e308, 0.0]), "b": np.array([-1e308])})
+    small = ParamSet({"w": np.array([-1e308, 0.0]), "b": np.array([1e308])})
+    with np.errstate(over="ignore"):
+        for x, y in ((big, small), (small, big)):
+            with pytest.raises(ValueError, match="'w'"):
+                x - y
+            with pytest.raises(ValueError, match="'w'"):
+                l1_distance(x, y)
+        # a finite difference whose sum overflows is inf for both, not an error
+        half = ParamSet({"w": np.array([1e308, 1e308])})
+        zero = ParamSet({"w": np.zeros(2)})
+        assert l1_distance(half, zero) == l1_norm(half - zero) == np.inf
 
 
 def test_named_tensors_are_read_only_views():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedqdp import rng as streams
-from fedqdp.models import ParamSet, l1_norm
+from fedqdp.models import ModelSpec, ParamSet, init_params, l1_norm, loss_and_grad
 from fedqdp.privacy import (
     BatchTrace,
     DpConfig,
@@ -201,6 +201,42 @@ def test_lipschitz_estimate_matches_all_pairs_oracle():
     assert trace.estimate == want
 
 
+def test_batch_trace_builds_no_parameter_sets(monkeypatch):
+    """Recording two epochs compares each batch pair without building a
+    difference ParamSet."""
+    spec = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=5)
+    rng = np.random.default_rng(12)
+    epochs = []
+    for _ in range(2):
+        epoch = []
+        for _ in range(3):
+            params = init_params(spec, rng)
+            x = rng.standard_normal((6, 4))
+            y = rng.integers(0, 3, size=6)
+            epoch.append((loss_and_grad(spec, params, x, y)[1], params))
+        epochs.append(epoch)
+
+    built = []
+    original = ParamSet._init
+
+    def counting_init(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(ParamSet, "_init", counting_init)
+    trace = BatchTrace()
+    for epoch in epochs:
+        trace.start_epoch()
+        for grad, params in epoch:
+            trace.record(grad, params)
+    assert trace.estimate > 0.0
+    assert built == []
+    monkeypatch.undo()
+    want = max(l1_norm(g1 - g2) / l1_norm(p1 - p2)
+               for (g1, p1), (g2, p2) in zip(epochs[0], epochs[1]))
+    assert trace.estimate == want
+
+
 def test_batch_trace_requires_epoch():
     with pytest.raises(ValueError):
         BatchTrace().record(_ps(1.0), _ps(0.0))
@@ -264,6 +300,20 @@ def test_laplace_kernel_boundary_is_finite():
     out = _laplace_from_uniform(u, 1.0)
     assert np.all(np.isfinite(out))
     assert out[2] == 0.0
+
+
+def test_laplace_kernel_equals_out_of_place_formula():
+    def reference(u, scale):
+        inner = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(np.float64).tiny)
+        return -scale * np.sign(u) * np.log(inner)
+
+    edge = np.array([-0.5, 0.0, np.nextafter(0.5, 0.0), -np.nextafter(0.5, 0.0)])
+    draws = np.random.default_rng(13).random(10_000) - 0.5
+    for u in (edge, draws):
+        for scale in (1.0, 0.37, 2.5e3):
+            before = u.copy()
+            assert np.array_equal(_laplace_from_uniform(u, scale), reference(u, scale))
+            assert np.array_equal(u, before)
 
 
 def test_laplace_noise_statistics():
