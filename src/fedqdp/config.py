@@ -38,7 +38,7 @@ _TOP_FIELDS = {
 _TOP_KEYS = set(_TOP_FIELDS) | {"model", "schedule", "dp", "data", "partition"}
 _MODEL_KEYS = {"kind", "input_dim", "num_classes", "hidden_dim"}
 _SCHEDULE_KEYS = {"mode", "b_max", "b_min", "bits", "lambda_h"}
-_DP_KEYS = {"epsilon", "xi", "delta"}
+_DP_KEYS = {"epsilon", "xi"}
 _BLOBS_KEYS = {"kind", "num_classes", "input_dim", "train_per_class", "test_per_class", "spread"}
 _IDX_KEYS = {"kind", "train_images", "train_labels", "test_images", "test_labels"}
 _PARTITION_KEYS = {"scheme", "alpha", "exponent"}
@@ -54,13 +54,15 @@ _INT_KEYS = {
 _INT64_KEYS = _INT_KEYS - {"seed"}
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # keys that must hold JSON numbers (integer or real, not a bool)
-_REAL_KEYS = {"eta", "spread", "epsilon", "xi", "delta", "lambda_h", "alpha", "exponent"}
+_REAL_KEYS = {"eta", "spread", "epsilon", "xi", "lambda_h", "alpha", "exponent"}
+# keys that must hold JSON strings
+_STR_KEYS = {"kind", "mode", "scheme", "train_images", "train_labels", "test_images", "test_labels"}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     """Reject a non-object section, unknown keys, non-integer integer keys
-    (or, seed aside, ones outside the 64-bit range) and non-numeric real
-    keys."""
+    (or, seed aside, ones outside the 64-bit range), non-numeric real keys
+    and non-string string keys."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object, got {type(section).__name__}")
     unknown = sorted(set(section) - allowed)
@@ -78,6 +80,9 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
             float(section[key])
         except OverflowError:
             raise ConfigError(f"{where}.{key} is too large for a float") from None
+    for key in sorted(_STR_KEYS & set(section)):
+        if not isinstance(section[key], str):
+            raise ConfigError(f"{where}.{key} must be a string, got {section[key]!r}")
 
 
 def _build(factory, where: str, **kwargs):

@@ -105,8 +105,8 @@ def dirichlet_partition(
 def power_law_two_class_partition(
     labels: np.ndarray,
     num_clients: int,
-    exponent: float = 1.2,
-    rng: np.random.Generator | None = None,
+    exponent: float,
+    rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Give each client two classes and a power-law share of the samples.
 
@@ -118,8 +118,6 @@ def power_law_two_class_partition(
     labels = _validate_partition_args(labels, num_clients)
     if not np.isfinite(exponent) or exponent < 0:
         raise ValueError(f"exponent must be non-negative and finite, got {exponent}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     present = np.unique(labels)
     if present.size < 2:
         raise ValueError("power-law partitioning needs at least 2 classes present")

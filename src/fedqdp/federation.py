@@ -165,11 +165,6 @@ def comm_cost(q: QuantizedParamSet) -> int:
     return q.num_elements * q.bits + len(q.layout) * (SCALE_BITS + TAG_BITS)
 
 
-def fp32_cost(params: ParamSet) -> int:
-    """Bits to transmit the same parameters as raw float32."""
-    return 32 * params.num_elements
-
-
 def select_clients(num_clients: int, per_round: int, t: int, seed: int) -> np.ndarray:
     """Uniform sample of per_round distinct client ids, sorted ascending.
 
@@ -222,12 +217,10 @@ def client_update(
 
     trace = BatchTrace() if cfg.dp is not None else None
     for _ in range(cfg.local_epochs):
-        if trace is not None:
-            trace.start_epoch()
-        for batch in batches:
+        for j, batch in enumerate(batches):
             _, grad = loss_and_grad(cfg.model, params, features[batch], labels[batch])
             if cfg.dp is not None:
-                trace.record(grad, params)
+                trace.record(grad, params, j)
                 grad = clip_gradient_l1(grad, cfg.dp.xi)
             params = sgd_step(params, grad, cfg.eta)
 

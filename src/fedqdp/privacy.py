@@ -30,15 +30,12 @@ class DpConfig:
 
     epsilon: float
     xi: float
-    delta: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon) or self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not np.isfinite(self.xi) or self.xi <= 0:
             raise ValueError(f"xi must be positive and finite, got {self.xi}")
-        if self.delta != 0.0:
-            raise ValueError(f"only delta = 0 is supported, got {self.delta}")
 
 
 @dataclass
@@ -46,38 +43,25 @@ class BatchTrace:
     """Running smoothness estimate over same-batch, consecutive-epoch pairs.
 
     Gradients recorded here are the unclipped ones; the trace exists to
-    estimate how fast the gradient field changes between epochs. Only the
-    latest (grad, params) per batch index is held: recording batch j
-    compares it with batch j of the previous epoch, when that epoch had
-    one, and then replaces it. estimate is the maximum of
-    ||grad - grad'||_1 / ||params - params'||_1 over those pairs; pairs
-    with identical parameters are skipped, and no usable pair leaves 0.0.
+    estimate how fast the gradient field changes between epochs. Every
+    epoch visits the same batches, and only the latest (grad, params) per
+    batch index is held: recording batch j compares it with batch j of the
+    previous epoch, when there was one, and then replaces it. estimate is
+    the maximum of ||grad - grad'||_1 / ||params - params'||_1 over those
+    pairs; pairs with identical parameters are skipped, and no usable pair
+    leaves 0.0.
     """
 
     estimate: float = 0.0
-    _latest: list[tuple[ParamSet, ParamSet]] = field(default_factory=list)
-    _previous_batches: int = 0
-    _batch: int | None = None
+    _latest: dict[int, tuple[ParamSet, ParamSet]] = field(default_factory=dict)
 
-    def start_epoch(self) -> None:
-        if self._batch is not None:
-            self._previous_batches = self._batch
-        self._batch = 0
-
-    def record(self, grad: ParamSet, params: ParamSet) -> None:
-        if self._batch is None:
-            raise ValueError("record() before start_epoch()")
-        j = self._batch
-        if j < self._previous_batches:
-            prev_grad, prev_params = self._latest[j]
+    def record(self, grad: ParamSet, params: ParamSet, batch: int) -> None:
+        if batch in self._latest:
+            prev_grad, prev_params = self._latest[batch]
             denom = l1_distance(prev_params, params)
             if denom != 0.0:
                 self.estimate = max(self.estimate, l1_distance(prev_grad, grad) / denom)
-        if j == len(self._latest):
-            self._latest.append((grad, params))
-        else:
-            self._latest[j] = (grad, params)
-        self._batch = j + 1
+        self._latest[batch] = (grad, params)
 
 
 def compute_e0(lambda_i: float, eta: float, dataset_size: int) -> int:

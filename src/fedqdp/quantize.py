@@ -5,8 +5,7 @@ integer codes, and clipped into the signed b-bit range. Rounding is down
 with probability ceil(x) - x and up otherwise, which makes the code an
 unbiased estimate of the scaled value. An all-zero tensor gets scale 1 so
 dequantization is always well defined. A whole ParamSet is quantized in
-one pass over its flat vector; quantize() and dequantize() handle a single
-tensor.
+one pass over its flat vector.
 """
 
 from __future__ import annotations
@@ -26,32 +25,6 @@ def _check_bits(bits: int) -> int:
     if b != bits or not (BITS_MIN <= b <= BITS_MAX):
         raise ValueError(f"bits must be an integer in [{BITS_MIN}, {BITS_MAX}], got {bits}")
     return b
-
-
-@dataclass(frozen=True, eq=False)
-class QuantizedTensor:
-    """Integer codes plus the scale needed to map them back to floats."""
-
-    shape: tuple[int, ...]
-    codes: np.ndarray  # int64, flat
-    bits: int
-    scale: float
-
-    def __post_init__(self):
-        _check_bits(self.bits)
-        if self.codes.dtype != np.int64 or self.codes.ndim != 1:
-            raise ValueError("codes must be a flat int64 array")
-        if self.codes.size != int(np.prod(self.shape, dtype=np.int64)):
-            raise ValueError(f"codes length {self.codes.size} does not match shape {self.shape}")
-        bound = 2 ** (self.bits - 1) - 1
-        if self.codes.size and (self.codes.min() < -bound or self.codes.max() > bound):
-            raise ValueError(f"codes exceed the signed {self.bits}-bit range [-{bound}, {bound}]")
-        if not np.isfinite(self.scale) or self.scale <= 0:
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-
-    @property
-    def num_elements(self) -> int:
-        return self.codes.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +48,6 @@ class QuantizedParamSet:
             raise ValueError(f"need one scale per tensor, got {self.scales.shape}")
         if not (np.isfinite(self.scales).all() and (self.scales > 0).all()):
             raise ValueError(f"scales must be positive and finite, got {self.scales}")
-
-    @property
-    def entries(self) -> tuple[tuple[str, QuantizedTensor], ...]:
-        """Per-tensor views of the codes, with their scales."""
-        return tuple(
-            (name, QuantizedTensor(shape, self.codes[off : off + size], self.bits, float(scale)))
-            for (name, shape, off, size), scale in zip(self.layout.entries, self.scales)
-        )
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -139,31 +104,11 @@ def _round_clip(scaled: np.ndarray, u: np.ndarray, bound: int) -> np.ndarray:
     return codes.astype(np.int64)
 
 
-def quantize(tensor: np.ndarray, bits: int, rng: np.random.Generator) -> QuantizedTensor:
-    """Quantize one tensor, consuming one uniform draw per element."""
-    b = _check_bits(bits)
-    arr = np.asarray(tensor, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot quantize non-finite values")
-    flat = arr.ravel()
-    alpha = float(np.abs(flat).max()) if flat.size else 0.0
-    scale = scale_factor(alpha, b)
-    u = rng.random(flat.size)
-    codes = _round_clip(flat * scale, u, 2 ** (b - 1) - 1)
-    return QuantizedTensor(shape=arr.shape, codes=codes, bits=b, scale=scale)
-
-
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Map codes back to floats: codes / scale, reshaped to the original shape."""
-    return (q.codes / q.scale).reshape(q.shape)
-
-
 def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> QuantizedParamSet:
     """Quantize every tensor at the same bit width with per-tensor scales.
 
     One uniform draw covers the whole vector in layout order, which is the
-    same stream as one draw per tensor in turn, so the result equals
-    quantize() applied tensor by tensor on the same generator.
+    same stream as one draw per tensor in turn.
     """
     b = _check_bits(bits)
     layout = params.layout

@@ -24,7 +24,7 @@ from fedqdp.federation import (
 from fedqdp.metrics import read_records, write_records
 from fedqdp.models import ModelSpec, ParamSet, init_params, loss_and_grad, sgd_step
 from fedqdp.privacy import DpConfig, compute_e0, laplace_noise, sensitivity
-from fedqdp.quantize import dequantize, quantize
+from fedqdp.quantize import dequantize_params, quantize_params
 from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 
 
@@ -120,9 +120,9 @@ def test_acceptance_3_quantization_unbiased_and_bounded():
         t = np.full(trials + 1, x)
         t[0] = alpha
         for bits in (2, 4, 8):
-            q = quantize(t, bits, rng)
-            dq = dequantize(q)
-            s = q.scale
+            q = quantize_params(ParamSet({"t": t}), bits, rng)
+            dq = dequantize_params(q)["t"]
+            s = q.scales[0]
             tol = 4 * (1 / (2 * s)) * 10 ** (-5 / 2) * 2
             mean_err = abs(dq[1:].mean() - x)
             round_err = np.max(np.abs(dq - t))

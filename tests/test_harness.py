@@ -82,6 +82,9 @@ def test_unknown_keys_rejected_at_every_level():
         parse_config_dict({"schedule": [1]})
     with pytest.raises(ConfigError, match="train_images"):
         parse_config_dict({"data": {"kind": "blobs", "train_images": "x"}})
+    # pure epsilon-DP has no delta to set
+    with pytest.raises(ConfigError, match="delta"):
+        parse_config_dict({"dp": {"epsilon": 1.0, "xi": 1.0, "delta": 0}})
 
 
 def test_constraint_violations_name_the_problem():
@@ -152,6 +155,24 @@ def test_real_fields_reject_strings_and_bools():
     # JSON integers are numbers too
     cfg = parse_config_dict({"eta": 1, "dp": {"epsilon": 2, "xi": 3}})
     assert cfg.eta == 1.0 and cfg.dp.epsilon == 2 and cfg.dp.xi == 3
+
+
+def test_string_fields_reject_numbers_and_bools():
+    idx = {"kind": "idx", "train_images": "a", "train_labels": "b", "test_images": "c",
+           "test_labels": "d"}
+    model = {"kind": "logistic", "input_dim": 4, "num_classes": 2}
+    for key, bad in (("train_images", 0), ("train_labels", True), ("test_images", None),
+                     ("test_labels", 1.5)):
+        with pytest.raises(ConfigError, match=f"data.{key} must be a string"):
+            parse_config_dict({"data": dict(idx, **{key: bad}), "model": model})
+    with pytest.raises(ConfigError, match="data.kind must be a string"):
+        parse_config_dict({"data": {"kind": 0}})
+    with pytest.raises(ConfigError, match="model.kind must be a string"):
+        parse_config_dict({"model": dict(model, kind=["mlp"])})
+    with pytest.raises(ConfigError, match="schedule.mode must be a string"):
+        parse_config_dict({"schedule": {"mode": 1}})
+    with pytest.raises(ConfigError, match="partition.scheme must be a string"):
+        parse_config_dict({"partition": {"scheme": False}})
 
 
 def test_idx_data_requires_model():
@@ -446,16 +467,21 @@ def test_cli_sweep_failed_cell_writes_no_summary(tmp_path, capsys, monkeypatch):
 
 def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    # a non-object section or a number beyond the float range is reported
-    # like any other config error
+    # a non-object section, a number beyond the float range or a path that
+    # is not a string (open(0) would read stdin) is reported like any other
+    # config error
+    idx_path_int = {"data": {"kind": "idx", "train_images": 0, "train_labels": "b",
+                             "test_images": "c", "test_labels": "d"},
+                    "model": {"kind": "logistic", "input_dim": 4, "num_classes": 2}}
     for bad in ({"clients": 2, "per_round": 5}, {"data": 5}, {"schedule": [1]},
                 {"data": {"spread": 10**400}},
-                {"data": {"train_per_class": 10**30}, "rounds": 1}):
+                {"data": {"train_per_class": 10**30}, "rounds": 1}, idx_path_int):
         path.write_text(json.dumps(bad))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
+    assert "data.train_images" in err
 
 
 def test_cli_out_env_default(tmp_path):

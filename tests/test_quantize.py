@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedqdp.models import ModelSpec, ParamSet, init_params
+from fedqdp.models import Layout, ModelSpec, ParamSet, init_params
 from fedqdp.quantize import (
-    QuantizedTensor,
+    QuantizedParamSet,
     _round_clip,
     clip_int,
-    dequantize,
     dequantize_params,
-    quantize,
     quantize_params,
     scale_factor,
     stochastic_round,
@@ -85,41 +83,75 @@ def test_clip_int_examples():
     assert clip_int(2**40, 32) == 2**31 - 1
 
 
+def _quantize_one(tensor, bits, rng):
+    """Quantize a single tensor as a one-tensor ParamSet; return the
+    message and the dequantized tensor in its original shape."""
+    q = quantize_params(ParamSet({"t": tensor}), bits, rng)
+    return q, dequantize_params(q)["t"]
+
+
+def _reference_codes(values, bits, rng):
+    """Codes of one tensor from the scalar ops alone: scale_factor, then
+    stochastic_round and clip_int element by element."""
+    flat = np.ravel(values)
+    s = scale_factor(float(np.abs(flat).max()) if flat.size else 0.0, bits)
+    return s, [clip_int(stochastic_round(v * s, rng), bits) for v in flat]
+
+
 def test_quantize_codes_within_range_and_dtype():
     rng = np.random.default_rng(3)
     t = rng.standard_normal((7, 5)) * 10
-    q = quantize(t, 8, rng)
+    q, dq = _quantize_one(t, 8, rng)
     assert q.codes.dtype == np.int64
-    assert q.shape == (7, 5)
+    assert dq.shape == (7, 5)
     assert q.codes.min() >= -127 and q.codes.max() <= 127
     assert q.bits == 8
 
 
 def test_quantize_zero_tensor():
     rng = np.random.default_rng(4)
-    q = quantize(np.zeros((3, 3)), 8, rng)
-    assert q.scale == 1.0
+    q, dq = _quantize_one(np.zeros((3, 3)), 8, rng)
+    assert q.scales.tolist() == [1.0]
     assert np.all(q.codes == 0)
-    assert np.array_equal(dequantize(q), np.zeros((3, 3)))
+    assert np.array_equal(dq, np.zeros((3, 3)))
 
 
 def test_quantize_validation():
     rng = np.random.default_rng(5)
+    # a ParamSet refuses non-finite values, so none can reach the quantizer
     with pytest.raises(ValueError):
-        quantize(np.array([1.0, np.nan]), 8, rng)
+        ParamSet({"t": np.array([1.0, np.nan])})
     with pytest.raises(ValueError):
-        quantize(np.ones(3), 1, rng)
+        _quantize_one(np.ones(3), 1, rng)
     with pytest.raises(ValueError):
-        quantize(np.ones(3), 64, rng)
+        _quantize_one(np.ones(3), 64, rng)
 
 
-def test_quantized_tensor_validation():
-    with pytest.raises(ValueError):
-        QuantizedTensor(shape=(2,), codes=np.array([1, 200], dtype=np.int64), bits=8, scale=1.0)
-    with pytest.raises(ValueError):
-        QuantizedTensor(shape=(3,), codes=np.array([1, 2], dtype=np.int64), bits=8, scale=1.0)
-    with pytest.raises(ValueError):
-        QuantizedTensor(shape=(2,), codes=np.array([1, 2], dtype=np.int64), bits=8, scale=0.0)
+def test_quantized_param_set_validation():
+    layout = Layout([("w", (2,)), ("b", (1,))])
+    codes = np.array([1, -2, 3], dtype=np.int64)
+    scales = np.array([1.0, 2.0])
+    QuantizedParamSet(layout, codes, scales, 8)
+    bad = [
+        (np.array([1, 128, 3], dtype=np.int64), scales, 8),  # beyond [-127, 127]
+        (np.array([1, -2, -3], dtype=np.int64), scales, 2),  # beyond [-1, 1]
+        (np.array([1, -2], dtype=np.int64), scales, 8),  # too short
+        (np.array([1, -2, 3, 4], dtype=np.int64), scales, 8),  # too long
+        (codes.astype(np.int32), scales, 8),
+        (codes.astype(np.float64), scales, 8),
+        (codes.reshape(3, 1), scales, 8),
+        (codes, np.array([1.0]), 8),  # one scale for two tensors
+        (codes, np.array([1.0, 2.0, 3.0]), 8),
+        (codes, np.array([1.0, 0.0]), 8),
+        (codes, np.array([-1.0, 2.0]), 8),
+        (codes, np.array([np.inf, 2.0]), 8),
+        (codes, np.array([1.0, np.nan]), 8),
+        (codes, scales, 1),
+        (codes, scales, 33),
+    ]
+    for bad_codes, bad_scales, bits in bad:
+        with pytest.raises(ValueError):
+            QuantizedParamSet(layout, bad_codes, bad_scales, bits)
 
 
 @settings(max_examples=100, deadline=None)
@@ -127,31 +159,28 @@ def test_quantized_tensor_validation():
 def test_roundtrip_error_bounded_by_one_over_scale(seed, bits):
     rng = np.random.default_rng(seed)
     t = rng.uniform(-5, 5, size=17)
-    q = quantize(t, bits, rng)
-    err = np.abs(dequantize(q) - t)
+    q, dq = _quantize_one(t, bits, rng)
+    err = np.abs(dq - t)
     # 1e-12 relative slack absorbs the float evaluation of x * scale
-    assert err.max() <= (1.0 + 1e-12) / q.scale
+    assert err.max() <= (1.0 + 1e-12) / q.scales[0]
 
 
 def test_extreme_elements_roundtrip_exactly():
     rng = np.random.default_rng(6)
     t = np.array([1.0, -1.0, 0.5])
-    q = quantize(t, 8, rng)
-    dq = dequantize(q)
+    _, dq = _quantize_one(t, 8, rng)
     # +-alpha scale to exactly +-(2^(b-1)-1), which dequantizes exactly
     assert dq[0] == 1.0 and dq[1] == -1.0
 
 
 def test_quantize_matches_scalar_ops_elementwise():
-    """The vectorized path equals scale + stochastic_round + clip_int
-    element by element on a shared stream."""
+    """The vectorized path equals scale_factor + stochastic_round +
+    clip_int element by element on a shared stream."""
     t = np.array([0.913, -0.204, 0.555, -0.999, 0.001, 0.25])
     bits = 8
-    q = quantize(t, bits, np.random.default_rng(99))
-    rng = np.random.default_rng(99)
-    s = scale_factor(np.abs(t).max(), bits)
-    expected = [clip_int(stochastic_round(v * s, rng), bits) for v in t]
-    assert q.scale == s
+    q, _ = _quantize_one(t, bits, np.random.default_rng(99))
+    s, expected = _reference_codes(t, bits, np.random.default_rng(99))
+    assert q.scales.tolist() == [s]
     assert np.array_equal(q.codes, expected)
 
 
@@ -161,18 +190,17 @@ def test_quantize_unbiased_on_fixed_element():
     trials = 50_000
     t = np.full(trials + 1, x)
     t[0] = alpha
-    q = quantize(t, 4, rng)
-    dq = dequantize(q)[1:]
-    s = q.scale
+    q, dq = _quantize_one(t, 4, rng)
+    s = q.scales[0]
     sigma_mean = (1.0 / (2 * s)) / np.sqrt(trials)
-    assert abs(dq.mean() - x) < 5 * sigma_mean
+    assert abs(dq[1:].mean() - x) < 5 * sigma_mean
 
 
 def test_quantize_deterministic_per_stream():
     t = np.random.default_rng(8).standard_normal(50)
-    a = quantize(t, 8, np.random.default_rng(123))
-    b = quantize(t, 8, np.random.default_rng(123))
-    c = quantize(t, 8, np.random.default_rng(124))
+    a, _ = _quantize_one(t, 8, np.random.default_rng(123))
+    b, _ = _quantize_one(t, 8, np.random.default_rng(123))
+    c, _ = _quantize_one(t, 8, np.random.default_rng(124))
     assert np.array_equal(a.codes, b.codes)
     assert not np.array_equal(a.codes, c.codes)
 
@@ -182,19 +210,19 @@ def test_quantize_params_preserves_order_and_scales():
     q = quantize_params(params, 8, np.random.default_rng(9))
     assert q.names == ("w", "b")
     assert q.bits == 8
-    scales = dict(q.entries)
-    assert scales["w"].scale == 127.0 / 2.0
-    assert scales["b"].scale == 127.0 / 0.25
+    scales = dict(zip(q.names, q.scales.tolist()))
+    assert scales["w"] == 127.0 / 2.0
+    assert scales["b"] == 127.0 / 0.25
     back = dequantize_params(q)
     assert back.names == ("w", "b")
     assert back["w"].shape == (1, 2)
     for name, value in params.items():
-        assert np.max(np.abs(back[name] - value)) <= (1.0 + 1e-12) / scales[name].scale
+        assert np.max(np.abs(back[name] - value)) <= (1.0 + 1e-12) / scales[name]
 
 
 def test_quantize_params_empty():
     q = quantize_params(ParamSet({}), 8, np.random.default_rng(0))
-    assert q.entries == ()
+    assert q.names == () and q.codes.size == 0 and q.scales.size == 0
     assert dequantize_params(q).names == ()
 
 
@@ -204,13 +232,14 @@ def test_quantize_params_single_stream_is_order_sensitive():
     params = ParamSet({"w": np.full(4, 0.3), "b": np.full(4, 0.3)})
     a = quantize_params(params, 2, np.random.default_rng(10))
     b = quantize_params(params, 2, np.random.default_rng(10))
-    for (_, qa), (_, qb) in zip(a.entries, b.entries):
-        assert np.array_equal(qa.codes, qb.codes)
+    assert np.array_equal(a.codes, b.codes)
+    assert np.array_equal(a.scales, b.scales)
 
 
 def test_quantize_params_equals_per_tensor_quantize():
-    """The flat path gives the codes and scales of quantize() applied tensor
-    by tensor on one generator, all-zero and empty tensors included."""
+    """The flat path gives the codes and scales that the scalar ops give
+    tensor by tensor, in layout order on one generator, all-zero and empty
+    tensors included."""
     base = init_params(ModelSpec("mlp", input_dim=5, num_classes=3, hidden_dim=7),
                        np.random.default_rng(11))
     mlp = ParamSet({"w1": base["w1"], "b1": np.linspace(-0.3, 0.2, 7), "w2": base["w2"],
@@ -220,9 +249,16 @@ def test_quantize_params_equals_per_tensor_quantize():
         for bits in (2, 8, 32):
             q = quantize_params(params, bits, np.random.default_rng(12))
             rng = np.random.default_rng(12)
-            for (name, qt), (_, value) in zip(q.entries, params.items(), strict=True):
-                ref = quantize(value, bits, rng)
-                assert qt.shape == ref.shape
-                assert qt.scale == ref.scale
-                assert np.array_equal(qt.codes, ref.codes)
-                assert np.array_equal(dequantize_params(q)[name], dequantize(ref))
+            ref_scales, ref_codes = [], []
+            for _, value in params.items():
+                s, codes = _reference_codes(value, bits, rng)
+                ref_scales.append(s)
+                ref_codes += codes
+            assert q.scales.tolist() == ref_scales
+            assert np.array_equal(q.codes, np.array(ref_codes, dtype=np.int64))
+            back = dequantize_params(q)
+            start = 0
+            for (name, value), s in zip(params.items(), ref_scales):
+                ref = np.array(ref_codes[start : start + value.size], dtype=np.float64) / s
+                start += value.size
+                assert np.array_equal(back[name], ref.reshape(value.shape))
