@@ -1,25 +1,23 @@
-"""JSON experiment configs with strict key checking.
+"""JSON experiment configs, checked against the config dataclasses.
 
-Unknown keys are rejected at every level so typos fail loudly. Missing
-optional keys fall back to the defaults of the dataclass they configure
-(eta 0.1, batch_size 64, and so on, on ExperimentConfig). The model section
-may be omitted for blob data, in which case a logistic model matching the
-data dimensions is assumed.
+A section's keys are its dataclass's fields (plus data's "kind", and the
+top-level "clients" and "per_round" for num_clients and clients_per_round);
+each value must have the JSON type its field is annotated with: int, float
+or str. Unknown keys are rejected at every level so typos fail loudly.
+Missing optional keys fall back to the dataclass defaults. The model
+section may be omitted for blob data, in which case a logistic model
+matching the data dimensions is assumed.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import MISSING, Field, fields
 from itertools import product
 from pathlib import Path
 
-from fedqdp.federation import (
-    BlobsConfig,
-    ExperimentConfig,
-    IdxConfig,
-    PartitionConfig,
-)
+from fedqdp.federation import BlobsConfig, ExperimentConfig, IdxConfig, PartitionConfig
 from fedqdp.models import ModelSpec
 from fedqdp.privacy import DpConfig
 from fedqdp.schedule import ScheduleConfig
@@ -29,60 +27,48 @@ class ConfigError(ValueError):
     """Config file problem: unknown key, bad type, or inconsistent values."""
 
 
-# top-level scalar keys and the ExperimentConfig fields they set
-_TOP_FIELDS = {
-    "rounds": "rounds", "clients": "num_clients", "per_round": "clients_per_round",
-    "local_epochs": "local_epochs", "batch_size": "batch_size", "eta": "eta",
-    "seed": "seed", "eval_every": "eval_every",
-}
-_TOP_KEYS = set(_TOP_FIELDS) | {"model", "schedule", "dp", "data", "partition"}
-_MODEL_KEYS = {"kind", "input_dim", "num_classes", "hidden_dim"}
-_SCHEDULE_KEYS = {"mode", "b_max", "b_min", "bits", "lambda_h"}
-_DP_KEYS = {"epsilon", "xi"}
-_BLOBS_KEYS = {"kind", "num_classes", "input_dim", "train_per_class", "test_per_class", "spread"}
-_IDX_KEYS = {"kind", "train_images", "train_labels", "test_images", "test_labels"}
-_PARTITION_KEYS = {"scheme", "alpha", "exponent"}
-
-# keys that must hold JSON integers, in whichever section allows them
-_INT_KEYS = {
-    "rounds", "clients", "per_round", "local_epochs", "batch_size", "seed", "eval_every",
-    "input_dim", "num_classes", "hidden_dim", "b_max", "b_min", "bits",
-    "train_per_class", "test_per_class",
-}
-# integer keys that reach numpy as a C long; seed goes to SeedSequence,
-# which takes any non-negative integer
-_INT64_KEYS = _INT_KEYS - {"seed"}
+# top-level keys whose names differ from the ExperimentConfig fields they set
+_TOP_FIELDS = {"clients": "num_clients", "per_round": "clients_per_round"}
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-# keys that must hold JSON numbers (integer or real, not a bool)
-_REAL_KEYS = {"eta", "spread", "epsilon", "xi", "lambda_h", "alpha", "exponent"}
-# keys that must hold JSON strings
-_STR_KEYS = {"kind", "mode", "scheme", "train_images", "train_labels", "test_images", "test_labels"}
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    """Reject a non-object section, unknown keys, non-integer integer keys
-    (or, seed aside, ones outside the 64-bit range), non-numeric real keys
-    and non-string string keys."""
+def _check_value(value, field: Field, where: str) -> None:
+    """Reject a value whose JSON type does not match its field's annotation.
+    Integers reach numpy as a C long, so must fit 64 bits, except the seed:
+    SeedSequence takes any non-negative integer."""
+    if field.type == "int":
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if field.name != "seed" and not _INT64_MIN <= value <= _INT64_MAX:
+            raise ConfigError(f"{where} does not fit a 64-bit integer")
+    elif field.type == "float":
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for a float") from None
+    elif field.type == "str" and not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+
+
+def _values(cls, section, where: str, extra=(), renames=None) -> dict:
+    """Check a JSON object against the fields of cls; return its values by
+    field name. renames maps a key to the field it sets; extra keys are
+    allowed but not returned."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object, got {type(section).__name__}")
-    unknown = sorted(set(section) - allowed)
+    key_of = {name: key for key, name in (renames or {}).items()}
+    schema = {key_of.get(f.name, f.name): f for f in fields(cls)}
+    allowed = sorted([*schema, *extra])
+    unknown = sorted(set(section) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
-    for key in sorted(_INT_KEYS & set(section)):
-        if not isinstance(section[key], int) or isinstance(section[key], bool):
-            raise ConfigError(f"{where}.{key} must be an integer, got {section[key]!r}")
-        if key in _INT64_KEYS and not _INT64_MIN <= section[key] <= _INT64_MAX:
-            raise ConfigError(f"{where}.{key} does not fit a 64-bit integer")
-    for key in sorted(_REAL_KEYS & set(section)):
-        if not isinstance(section[key], (int, float)) or isinstance(section[key], bool):
-            raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}")
-        try:
-            float(section[key])
-        except OverflowError:
-            raise ConfigError(f"{where}.{key} is too large for a float") from None
-    for key in sorted(_STR_KEYS & set(section)):
-        if not isinstance(section[key], str):
-            raise ConfigError(f"{where}.{key} must be a string, got {section[key]!r}")
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {allowed}")
+    values = {}
+    for key in sorted(schema.keys() & section.keys()):
+        _check_value(section[key], schema[key], f"{where}.{key}")
+        values[schema[key].name] = section[key]
+    return values
 
 
 def _build(factory, where: str, **kwargs):
@@ -92,61 +78,40 @@ def _build(factory, where: str, **kwargs):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
+def _section(cls, section, where: str, extra=()):
+    """Build cls from its JSON section, naming any required key it lacks."""
+    values = _values(cls, section, where, extra)
+    missing = sorted(f.name for f in fields(cls) if f.name not in values and f.default is MISSING)
+    if missing:
+        raise ConfigError(f"{where} requires key(s) {missing}")
+    return _build(cls, where, **values)
+
+
 def parse_config_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON object."""
-    _check_keys(raw, _TOP_KEYS, "config")
+    values = _values(ExperimentConfig, raw, "config", renames=_TOP_FIELDS)
 
     data_raw = raw.get("data", {})
-    # must be an object before its kind can be read
-    _check_keys(data_raw, _BLOBS_KEYS | _IDX_KEYS, "data")
-    kind = data_raw.get("kind", "blobs")
-    fields = {k: v for k, v in data_raw.items() if k != "kind"}
-    if kind == "blobs":
-        _check_keys(data_raw, _BLOBS_KEYS, "data")
-        data = _build(BlobsConfig, "data", **fields)
-    elif kind == "idx":
-        _check_keys(data_raw, _IDX_KEYS, "data")
-        missing = sorted(_IDX_KEYS - {"kind"} - set(fields))
-        if missing:
-            raise ConfigError(f"data kind 'idx' requires key(s) {missing}")
-        data = _build(IdxConfig, "data", **fields)
-    else:
+    # a non-object data section is reported by _section
+    kind = data_raw.get("kind", "blobs") if isinstance(data_raw, dict) else "blobs"
+    if not isinstance(kind, str):
+        raise ConfigError(f"data.kind must be a string, got {kind!r}")
+    if kind not in ("blobs", "idx"):
         raise ConfigError(f"data.kind must be 'blobs' or 'idx', got {kind!r}")
+    data = _section(BlobsConfig if kind == "blobs" else IdxConfig, data_raw, "data", ("kind",))
 
-    model_raw = raw.get("model")
-    if model_raw is None:
-        if not isinstance(data, BlobsConfig):
+    if raw.get("model") is None:
+        if kind == "idx":
             raise ConfigError("a model section is required when data.kind is 'idx'")
         model = ModelSpec("logistic", data.input_dim, data.num_classes)
     else:
-        _check_keys(model_raw, _MODEL_KEYS, "model")
-        model = _build(ModelSpec, "model", **model_raw)
+        model = _section(ModelSpec, raw["model"], "model")
 
-    schedule_raw = raw.get("schedule", {"mode": "static"})
-    _check_keys(schedule_raw, _SCHEDULE_KEYS, "schedule")
-    schedule = _build(ScheduleConfig, "schedule", **schedule_raw)
-
-    dp_raw = raw.get("dp")
-    dp = None
-    if dp_raw is not None:
-        _check_keys(dp_raw, _DP_KEYS, "dp")
-        dp = _build(DpConfig, "dp", **dp_raw)
-
-    partition_raw = raw.get("partition", {})
-    _check_keys(partition_raw, _PARTITION_KEYS, "partition")
-    partition = _build(PartitionConfig, "partition", **partition_raw)
-
-    scalars = {field: raw[key] for key, field in _TOP_FIELDS.items() if key in raw}
-    return _build(
-        ExperimentConfig,
-        "config",
-        model=model,
-        schedule=schedule,
-        data=data,
-        partition=partition,
-        dp=dp,
-        **scalars,
-    )
+    schedule = _section(ScheduleConfig, raw.get("schedule", {"mode": "static"}), "schedule")
+    dp = None if raw.get("dp") is None else _section(DpConfig, raw["dp"], "dp")
+    partition = _section(PartitionConfig, raw.get("partition", {}), "partition")
+    values.update(model=model, schedule=schedule, data=data, partition=partition, dp=dp)
+    return _build(ExperimentConfig, "config", **values)
 
 
 def load_config_dict(path: str | Path) -> dict:

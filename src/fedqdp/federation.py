@@ -51,6 +51,18 @@ class BlobsConfig:
     test_per_class: int = 50
     spread: float = 0.1
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.input_dim < 1:
+            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+        if self.train_per_class < 1:
+            raise ValueError(f"train_per_class must be >= 1, got {self.train_per_class}")
+        if self.test_per_class < 1:
+            raise ValueError(f"test_per_class must be >= 1, got {self.test_per_class}")
+        if not np.isfinite(self.spread) or self.spread < 0:
+            raise ValueError(f"spread must be non-negative and finite, got {self.spread}")
+
 
 @dataclass(frozen=True)
 class IdxConfig:
@@ -71,6 +83,11 @@ class PartitionConfig:
     def __post_init__(self):
         if self.scheme not in ("dirichlet", "power_law"):
             raise ValueError(f"scheme must be 'dirichlet' or 'power_law', got {self.scheme!r}")
+        # each scheme reads only its own parameter
+        if self.scheme == "dirichlet" and (not np.isfinite(self.alpha) or self.alpha <= 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.scheme == "power_law" and (not np.isfinite(self.exponent) or self.exponent < 0):
+            raise ValueError(f"exponent must be non-negative and finite, got {self.exponent}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +126,17 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        # IDX dimensions are known only once the files are loaded (run_experiment)
+        if isinstance(self.data, BlobsConfig):
+            for name in ("input_dim", "num_classes"):
+                if getattr(self.model, name) != getattr(self.data, name):
+                    raise ValueError(
+                        f"model {name} {getattr(self.model, name)} != "
+                        f"data {name} {getattr(self.data, name)}"
+                    )
+            samples = self.data.num_classes * self.data.train_per_class
+            if samples < self.num_clients:
+                raise ValueError(f"{samples} training samples cannot cover {self.num_clients} clients")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Protocol orchestration: selection, client updates, aggregation, accounting."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from fedqdp.federation import (
     ClientData,
     ClientUpdate,
     ExperimentConfig,
+    IdxConfig,
     PartitionConfig,
     aggregate,
     broadcast_bits,
@@ -303,11 +305,24 @@ def test_cumulative_bits_match_records():
         assert (down, up) == (cum_down, cum_up)
 
 
-def test_model_dataset_mismatch_rejected():
-    cfg = make_config(rounds=2, model=ModelSpec("logistic", input_dim=5, num_classes=3))
+def test_model_dataset_mismatch_rejected(tmp_path):
+    # blob dimensions are in the config, so the config itself is refused
+    with pytest.raises(ValueError, match="input_dim"):
+        make_config(rounds=2, model=ModelSpec("logistic", input_dim=5, num_classes=3))
+    with pytest.raises(ValueError, match="classes"):
+        make_config(rounds=2, model=ModelSpec("logistic", input_dim=2, num_classes=4))
+    # IDX dimensions are known only once the files are read: four 2x2
+    # images (input_dim 4) with labels 0, 1, 2 (3 classes)
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(range(16)))
+    labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 2, 0]))
+    data = IdxConfig(str(images), str(labels), str(images), str(labels))
+    cfg = make_config(rounds=2, data=data, num_clients=2, clients_per_round=1,
+                      model=ModelSpec("logistic", input_dim=5, num_classes=3))
     with pytest.raises(ValueError, match="input_dim"):
         run_experiment(cfg)
-    cfg = make_config(rounds=2, model=ModelSpec("logistic", input_dim=2, num_classes=4))
+    cfg = make_config(rounds=2, data=data, num_clients=2, clients_per_round=1,
+                      model=ModelSpec("logistic", input_dim=4, num_classes=4))
     with pytest.raises(ValueError, match="classes"):
         run_experiment(cfg)
 

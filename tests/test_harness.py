@@ -1,9 +1,12 @@
 """Config parsing, metrics export, comparison, and the CLI."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,14 @@ from fedqdp.config import (
     parse_config,
     parse_config_dict,
 )
-from fedqdp.federation import BlobsConfig, ExperimentConfig, IdxConfig, RoundRecord, run_experiment
+from fedqdp.federation import (
+    BlobsConfig,
+    ExperimentConfig,
+    IdxConfig,
+    PartitionConfig,
+    RoundRecord,
+    run_experiment,
+)
 from fedqdp.metrics import (
     best_accuracy,
     compare_runs,
@@ -28,6 +38,9 @@ from fedqdp.metrics import (
     total_bits,
     write_records,
 )
+from fedqdp.models import ModelSpec
+from fedqdp.privacy import DpConfig
+from fedqdp.schedule import ScheduleConfig
 
 SMALL_RAW = {
     "rounds": 4,
@@ -94,6 +107,71 @@ def test_constraint_violations_name_the_problem():
         parse_config_dict({"schedule": {"mode": "dynamic", "lambda_h": 1.5}})
     with pytest.raises(ConfigError, match="epsilon"):
         parse_config_dict({"dp": {"epsilon": -1.0, "xi": 1.0}})
+    # blob and partition ranges are checked when the config is read, not
+    # when synthetic_blobs or a partitioner first sees them
+    for data, key in (({"train_per_class": 0}, "train_per_class"),
+                      ({"test_per_class": -5}, "test_per_class"),
+                      ({"spread": -1.0}, "spread"),
+                      ({"input_dim": 0}, "input_dim")):
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            parse_config_dict({"data": data})
+    with pytest.raises(ConfigError, match="num_classes must be >= 2"):
+        parse_config_dict({"data": {"num_classes": 1},
+                           "model": {"kind": "logistic", "input_dim": 2, "num_classes": 2}})
+    with pytest.raises(ConfigError, match="alpha"):
+        parse_config_dict({"partition": {"alpha": -1.0}})
+    with pytest.raises(ConfigError, match="exponent"):
+        parse_config_dict({"partition": {"scheme": "power_law", "exponent": -1.0}})
+    # a scheme reads only its own parameter, so the other one is not checked
+    assert parse_config_dict({"partition": {"scheme": "power_law", "alpha": -1.0}}).partition.alpha == -1.0
+    # an explicit model must fit the blobs, and the blobs must cover the clients
+    model = {"kind": "logistic", "input_dim": 2, "num_classes": 3}
+    with pytest.raises(ConfigError, match="model input_dim 2 != data input_dim 3"):
+        parse_config_dict({"model": model, "data": {"input_dim": 3}})
+    with pytest.raises(ConfigError, match="model num_classes 3 != data num_classes 4"):
+        parse_config_dict({"model": model, "data": {"num_classes": 4}})
+    with pytest.raises(ConfigError, match="6 training samples cannot cover 7 clients"):
+        parse_config_dict({"clients": 7, "data": {"num_classes": 2, "train_per_class": 3}})
+    assert parse_config_dict({"clients": 6, "data": {"num_classes": 2, "train_per_class": 3}})
+
+
+def test_schema_is_the_dataclass_fields():
+    def allowed(raw):
+        with pytest.raises(ConfigError, match="unknown key") as info:
+            parse_config_dict(raw)
+        return set(ast.literal_eval(str(info.value).split("allowed: ")[1]))
+
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    sections = {"model": ModelSpec, "schedule": ScheduleConfig, "dp": DpConfig,
+                "partition": PartitionConfig}
+    for section, cls in sections.items():
+        assert allowed({section: {"bogus": 1}}) == names(cls)
+    assert allowed({"data": {"bogus": 1}}) == names(BlobsConfig) | {"kind"}
+    assert allowed({"data": {"kind": "idx", "bogus": 1}}) == names(IdxConfig) | {"kind"}
+    renamed = {"num_clients": "clients", "clients_per_round": "per_round"}
+    assert allowed({"bogus": 1}) == {renamed.get(n, n) for n in names(ExperimentConfig)}
+    # every leaf field states the JSON type its key must hold
+    leaves = [f for cls in (*sections.values(), BlobsConfig, IdxConfig) for f in fields(cls)]
+    leaves += [f for f in fields(ExperimentConfig) if f.name not in {*sections, "data"}]
+    assert {f.type for f in leaves} == {"int", "float", "str"}
+    # a required key that is missing is named, whatever the section
+    with pytest.raises(ConfigError, match=r"dp requires key\(s\) \['xi'\]"):
+        parse_config_dict({"dp": {"epsilon": 1.0}})
+    with pytest.raises(ConfigError, match=r"model requires key\(s\) \['input_dim'\]"):
+        parse_config_dict({"model": {"kind": "logistic", "num_classes": 3}})
+    with pytest.raises(ConfigError, match=r"schedule requires key\(s\) \['mode'\]"):
+        parse_config_dict({"schedule": {"b_min": 4}})
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    example = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(re.sub(r"//.*", "", example))
+    cfg = parse_config_dict(raw)
+    assert cfg.num_clients == raw["clients"] and cfg.dp.epsilon == raw["dp"]["epsilon"]
 
 
 def test_integer_fields_reject_floats_strings_and_bools(tmp_path, capsys):
@@ -433,6 +511,16 @@ def test_cli_sweep_invalid_cell_runs_nothing(tmp_path, capsys):
     assert code == 2
     assert "'per_round': 100" in capsys.readouterr().err
     # no cell_* directory and no summary.csv: nothing was created at all
+    assert not out.exists()
+    # an explicit model that does not fit a cell's blobs is refused too,
+    # not found when that cell runs
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(SMALL_RAW, model={"kind": "logistic", "input_dim": 2,
+                                                      "num_classes": 3})))
+    grid = json.dumps({"data.input_dim": [2, 3]})
+    assert main(["sweep", "--config", str(path), "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "model input_dim 2 != data input_dim 3" in err and "Traceback" not in err
     assert not out.exists()
 
 
