@@ -32,10 +32,11 @@ _TOP_FIELDS = {"clients": "num_clients", "per_round": "clients_per_round"}
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _check_value(value, field: Field, where: str) -> None:
-    """Reject a value whose JSON type does not match its field's annotation.
-    Integers reach numpy as a C long, so must fit 64 bits, except the seed:
-    SeedSequence takes any non-negative integer."""
+def _check_value(value, field: Field, where: str):
+    """Reject a value whose JSON type does not match its field's annotation;
+    return the value to store. Integers reach numpy as a C long, so must fit
+    64 bits, except the seed: SeedSequence takes any non-negative integer.
+    A float field stores a Python float: np.isfinite rejects ints beyond 64 bits."""
     if field.type == "int":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
@@ -45,11 +46,12 @@ def _check_value(value, field: Field, where: str) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{where} must be a number, got {value!r}")
         try:
-            float(value)
+            return float(value)
         except OverflowError:
             raise ConfigError(f"{where} is too large for a float") from None
     elif field.type == "str" and not isinstance(value, str):
         raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 def _values(cls, section, where: str, extra=(), renames=None) -> dict:
@@ -66,8 +68,7 @@ def _values(cls, section, where: str, extra=(), renames=None) -> dict:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {allowed}")
     values = {}
     for key in sorted(schema.keys() & section.keys()):
-        _check_value(section[key], schema[key], f"{where}.{key}")
-        values[schema[key].name] = section[key]
+        values[schema[key].name] = _check_value(section[key], schema[key], f"{where}.{key}")
     return values
 
 

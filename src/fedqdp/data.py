@@ -121,42 +121,38 @@ def power_law_two_class_partition(
     present = np.unique(labels)
     if present.size < 2:
         raise ValueError("power-law partitioning needs at least 2 classes present")
-    pairs = list(combinations(present.tolist(), 2))
+    pairs = list(combinations(range(present.size), 2))
     pair_of = [pairs[i % len(pairs)] for i in range(num_clients)]
 
-    pools = {}
+    pools = []
     for cls in present:
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        pools[int(cls)] = list(idx)
-    minimum_demand = {int(cls): 0 for cls in present}
-    for a, b in pair_of:
-        minimum_demand[a] += 1
-        minimum_demand[b] += 1
-    for cls, demand in minimum_demand.items():
-        if demand > len(pools[cls]):
-            raise ValueError(
-                f"class {cls} has {len(pools[cls])} samples but {demand} clients need one"
-            )
+        pools.append(idx)
+    demand = np.bincount(np.ravel(pair_of), minlength=present.size)
+    for cls, pool, need in zip(present.tolist(), pools, demand.tolist()):
+        if need > pool.size:
+            raise ValueError(f"class {cls} has {pool.size} samples but {need} clients need one")
 
     weights = (np.arange(1, num_clients + 1, dtype=np.float64)) ** (-exponent)
     shares = weights / weights.sum()
     targets = np.maximum(2, np.rint(shares * labels.size).astype(np.int64))
 
-    parts: list[list[int]] = [[] for _ in range(num_clients)]
-    for i, (a, b) in enumerate(pair_of):  # one sample of each class first
-        parts[i].append(pools[a].pop())
-        parts[i].append(pools[b].pop())
-    for i, (a, b) in enumerate(pair_of):
-        want = int(targets[i]) - 2
+    left = [pool.size for pool in pools]  # pools[c][:left[c]] is still untaken
+
+    def take(c: int, count: int) -> np.ndarray:
+        left[c] -= count
+        return pools[c][left[c] : left[c] + count]
+
+    firsts = [(take(a, 1), take(b, 1)) for a, b in pair_of]  # one sample of each class first
+    parts = []
+    for (a, b), first, target in zip(pair_of, firsts, targets.tolist()):
+        want = target - 2
         want_a = want - want // 2
-        take_a = min(want_a, len(pools[a]))
-        take_b = min(want // 2 + (want_a - take_a), len(pools[b]))
-        for _ in range(take_a):
-            parts[i].append(pools[a].pop())
-        for _ in range(take_b):
-            parts[i].append(pools[b].pop())
-    return [np.sort(np.asarray(p, dtype=np.int64)) for p in parts]
+        take_a = min(want_a, left[a])
+        take_b = min(want // 2 + (want_a - take_a), left[b])
+        parts.append(np.sort(np.concatenate([*first, take(a, take_a), take(b, take_b)])))
+    return parts
 
 
 def synthetic_blobs(
@@ -187,19 +183,21 @@ def synthetic_blobs(
     lattice = islice(product(range(side), repeat=input_dim), num_classes)
     means = np.array(list(lattice), dtype=np.float64)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
-    noise = rng.standard_normal((labels.size, input_dim))
-    features = means[labels] + spread * noise
+    features = rng.standard_normal((labels.size, input_dim))
+    features *= spread
+    # rows are class-major, so each class's block of rows takes its mean in place
+    features.reshape(num_classes, samples_per_class, input_dim)[...] += means[:, None, :]
     return LabeledDataset(features, labels, num_classes)
 
 
-def _read_idx_header(raw: bytes, path: str, magic: int, dims: int) -> tuple[tuple[int, ...], bytes]:
+def _read_idx_header(raw: bytes, path: str, magic: int, dims: int) -> tuple[tuple[int, ...], memoryview]:
     header = 4 * (1 + dims)
     if len(raw) < header:
         raise IdxParseError(f"{path}: truncated header, {len(raw)} bytes")
     fields = struct.unpack(f">{1 + dims}I", raw[:header])
     if fields[0] != magic:
         raise IdxParseError(f"{path}: bad magic 0x{fields[0]:08x}, expected 0x{magic:08x}")
-    return fields[1:], raw[header:]
+    return fields[1:], memoryview(raw)[header:]  # the body, not a copy of it
 
 
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
@@ -217,7 +215,8 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
         raise IdxParseError(
             f"{images_path}: image data truncated, {len(body)} bytes for {expected} pixels"
         )
-    pixels = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
+    pixels = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
+    pixels /= 255.0
 
     with open(labels_path, "rb") as f:
         raw = f.read()

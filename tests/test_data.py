@@ -1,9 +1,13 @@
 """Datasets, partitioners, and the IDX loader."""
 
 import struct
+import tracemalloc
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fedqdp.data import (
     IdxParseError,
@@ -74,6 +78,44 @@ def test_blobs_deterministic():
     a = synthetic_blobs(3, 2, 5, 0.3, np.random.default_rng(9))
     b = synthetic_blobs(3, 2, 5, 0.3, np.random.default_rng(9))
     assert np.array_equal(a.features, b.features)
+
+
+def _blobs_reference(num_classes, input_dim, samples_per_class, spread, rng):
+    """The textbook formula: each row is its class mean plus scaled noise."""
+    side = 1
+    while side**input_dim < num_classes:
+        side += 1
+    means = np.array(list(islice(product(range(side), repeat=input_dim), num_classes)), float)
+    labels = np.repeat(np.arange(num_classes), samples_per_class)
+    noise = rng.standard_normal((labels.size, input_dim))
+    return means[labels] + spread * noise
+
+
+@pytest.mark.parametrize("num_classes, input_dim, samples_per_class, spread", [
+    (2, 1, 7, 0.5),
+    (10, 1, 3, 1.0),
+    (2, 5, 4, 0.0),
+    (10, 64, 20, 0.3),
+    (10, 3, 1, 2.5),
+])
+def test_blobs_match_reference_formula(num_classes, input_dim, samples_per_class, spread):
+    ds = synthetic_blobs(num_classes, input_dim, samples_per_class, spread,
+                         np.random.default_rng(5))
+    expected = _blobs_reference(num_classes, input_dim, samples_per_class, spread,
+                                np.random.default_rng(5))
+    assert np.array_equal(ds.features, expected)
+    assert np.array_equal(np.signbit(ds.features), np.signbit(expected))
+
+
+def test_blobs_allocate_only_their_features():
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        ds = synthetic_blobs(10, 64, 500, 0.3, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ds.features.nbytes, f"peak {peak / ds.features.nbytes:.2f}x features"
 
 
 def test_blobs_validation():
@@ -185,6 +227,70 @@ def test_power_law_disjoint_and_minimum_per_class():
         assert counts[counts > 0].min() >= 1
 
 
+def _power_law_reference(labels, num_clients, exponent, rng):
+    """Power-law partition moving one sample at a time between Python lists."""
+    present = np.unique(labels)
+    pairs = list(combinations(present.tolist(), 2))
+    pair_of = [pairs[i % len(pairs)] for i in range(num_clients)]
+    pools = {}
+    for cls in present:
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        pools[int(cls)] = list(idx)
+    minimum_demand = {int(cls): 0 for cls in present}
+    for a, b in pair_of:
+        minimum_demand[a] += 1
+        minimum_demand[b] += 1
+    for cls, demand in minimum_demand.items():
+        if demand > len(pools[cls]):
+            raise ValueError(
+                f"class {cls} has {len(pools[cls])} samples but {demand} clients need one"
+            )
+    weights = (np.arange(1, num_clients + 1, dtype=np.float64)) ** (-exponent)
+    targets = np.maximum(2, np.rint(weights / weights.sum() * labels.size).astype(np.int64))
+    parts = [[] for _ in range(num_clients)]
+    for i, (a, b) in enumerate(pair_of):
+        parts[i].append(pools[a].pop())
+        parts[i].append(pools[b].pop())
+    for i, (a, b) in enumerate(pair_of):
+        want = int(targets[i]) - 2
+        want_a = want - want // 2
+        take_a = min(want_a, len(pools[a]))
+        take_b = min(want // 2 + (want_a - take_a), len(pools[b]))
+        for _ in range(take_a):
+            parts[i].append(pools[a].pop())
+        for _ in range(take_b):
+            parts[i].append(pools[b].pop())
+    return [np.sort(np.asarray(p, dtype=np.int64)) for p in parts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.one_of(st.integers(0, 3), st.integers(4, 150)), min_size=2, max_size=12),
+    num_clients=st.integers(1, 60),
+    exponent=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(counts=[4, 1], num_clients=3, exponent=1.2, seed=0)  # class 1 cannot supply 3 clients
+def test_power_law_matches_list_reference(counts, num_clients, exponent, seed):
+    labels = np.repeat(np.arange(len(counts)), counts)
+    np.random.default_rng(seed).shuffle(labels)
+    assume(np.count_nonzero(counts) >= 2 and labels.size >= num_clients)
+    try:
+        expected = _power_law_reference(labels, num_clients, exponent, np.random.default_rng(seed))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            power_law_two_class_partition(labels, num_clients, exponent,
+                                          np.random.default_rng(seed))
+        assert str(raised.value) == str(exc)
+        return
+    parts = power_law_two_class_partition(labels, num_clients, exponent,
+                                          np.random.default_rng(seed))
+    assert len(parts) == len(expected)
+    for part, ref in zip(parts, expected):
+        assert part.dtype == ref.dtype and np.array_equal(part, ref)
+
+
 def test_power_law_insufficient_singleton_class():
     labels = np.array([0, 0, 0, 0, 1])
     with pytest.raises(ValueError):
@@ -271,3 +377,19 @@ def test_load_idx_truncated_header(tmp_path):
     lab_path.write_bytes(struct.pack(">II", 0x801, 0))
     with pytest.raises(IdxParseError, match="header"):
         load_idx(str(img_path), str(lab_path))
+
+
+def test_load_idx_reads_the_body_without_a_copy(tmp_path):
+    pixels = np.random.default_rng(0).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+    img, lab = _write_idx_pair(tmp_path, pixels, [i % 10 for i in range(2000)])
+    file_bytes = 16 + pixels.size
+    tracemalloc.start()
+    try:
+        ds = load_idx(img, lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.features, pixels.reshape(2000, -1) / 255.0)
+    assert peak < ds.features.nbytes + 1.5 * file_bytes, (
+        f"peak {peak} B: features {ds.features.nbytes} B, file {file_bytes} B"
+    )

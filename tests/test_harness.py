@@ -230,9 +230,17 @@ def test_real_fields_reject_strings_and_bools():
         parse_config_dict({"data": {"kind": "blobs", "spread": 10**400}})
     with pytest.raises(ConfigError, match="alpha"):
         parse_config_dict({"partition": {"scheme": "dirichlet", "alpha": 10**400}})
-    # JSON integers are numbers too
+    # JSON integers are numbers too, and reach numpy as floats even beyond 64 bits
     cfg = parse_config_dict({"eta": 1, "dp": {"epsilon": 2, "xi": 3}})
     assert cfg.eta == 1.0 and cfg.dp.epsilon == 2 and cfg.dp.xi == 3
+    big = [
+        parse_config_dict({"eta": 10**30}).eta,
+        parse_config_dict({"dp": {"epsilon": 10**30, "xi": 1.0}}).dp.epsilon,
+        parse_config_dict({"data": {"kind": "blobs", "spread": 10**30}}).data.spread,
+        parse_config_dict({"partition": {"scheme": "dirichlet", "alpha": 10**30}}).partition.alpha,
+    ]
+    assert all(type(v) is float for v in [*big, cfg.eta, cfg.dp.epsilon, cfg.dp.xi])
+    assert big == [1e30] * 4
 
 
 def test_string_fields_reject_numbers_and_bools():
