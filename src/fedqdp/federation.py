@@ -39,6 +39,7 @@ from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 
 SCALE_BITS = 32
 TAG_BITS = 8
+EVAL_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -206,11 +207,31 @@ def select_clients(num_clients: int, per_round: int, t: int, seed: int) -> np.nd
     return np.sort(ids).astype(np.int64)
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive blocks of EVAL_ROWS rows, the short tail merged into the
+    last one: every block of n >= EVAL_ROWS rows holds EVAL_ROWS to
+    2 * EVAL_ROWS - 1 rows, and a smaller set is a single block."""
+    bounds = [i * EVAL_ROWS for i in range(max(1, n // EVAL_ROWS))] + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def evaluate(spec: ModelSpec, params: ParamSet, dataset: LabeledDataset) -> float:
-    """Fraction of correct argmax predictions; ties go to the lowest class id."""
-    if len(dataset) == 0:
+    """Fraction of correct argmax predictions; ties go to the lowest class id.
+
+    The forward pass runs over row blocks (see _row_blocks), so it holds one
+    hidden activation of at most 2 * EVAL_ROWS - 1 rows, not of the whole
+    set. Blocks this tall get the same logits from OpenBLAS as one pass over
+    all rows; 64-row blocks do not. The count of correct predictions is an
+    exact integer, so the fraction equals the mean over the whole set.
+    """
+    n = len(dataset)
+    if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    return float(np.mean(predict(spec, params, dataset.features) == dataset.labels))
+    correct = 0
+    for rows in _row_blocks(n):
+        pred = predict(spec, params, dataset.features[rows])
+        correct += int(np.count_nonzero(pred == dataset.labels[rows]))
+    return correct / n
 
 
 def broadcast_bits(schedule_cfg: ScheduleConfig, t: int, rounds: int) -> int:

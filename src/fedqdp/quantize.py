@@ -5,7 +5,8 @@ integer codes, and clipped into the signed b-bit range. Rounding is down
 with probability ceil(x) - x and up otherwise, which makes the code an
 unbiased estimate of the scaled value. An all-zero tensor gets scale 1 so
 dequantization is always well defined. A whole ParamSet is quantized in
-one pass over its flat vector.
+one pass over its flat vector, and its codes are held in the narrowest
+signed integer type that fits the bit width.
 """
 
 from __future__ import annotations
@@ -27,20 +28,28 @@ def _check_bits(bits: int) -> int:
     return b
 
 
+def code_dtype(bits: int) -> np.dtype:
+    """Narrowest signed integer type holding a b-bit code: int8 up to 8
+    bits, int16 up to 16, int32 up to 32."""
+    b = _check_bits(bits)
+    return np.dtype(np.int8 if b <= 8 else np.int16 if b <= 16 else np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class QuantizedParamSet:
-    """Quantization of a whole ParamSet: one flat int64 code vector in the
-    parameters' layout, one scale per tensor, one bit width."""
+    """Quantization of a whole ParamSet: one flat code vector in the
+    parameters' layout, of type code_dtype(bits), one scale per tensor, one
+    bit width."""
 
     layout: Layout
-    codes: np.ndarray  # int64, flat, in layout order
+    codes: np.ndarray  # code_dtype(bits), flat, in layout order
     scales: np.ndarray  # float64, one per tensor
     bits: int
 
     def __post_init__(self):
-        _check_bits(self.bits)
-        if self.codes.dtype != np.int64 or self.codes.shape != (self.layout.size,):
-            raise ValueError(f"codes must be a flat int64 array of {self.layout.size} elements")
+        dtype = code_dtype(self.bits)
+        if self.codes.dtype != dtype or self.codes.shape != (self.layout.size,):
+            raise ValueError(f"codes must be a flat {dtype} array of {self.layout.size} elements")
         bound = 2 ** (self.bits - 1) - 1
         if self.codes.size and (self.codes.min() < -bound or self.codes.max() > bound):
             raise ValueError(f"codes exceed the signed {self.bits}-bit range [-{bound}, {bound}]")
@@ -92,16 +101,18 @@ def clip_int(value: int, bits: int) -> int:
     return max(-bound, min(bound, int(value)))
 
 
-def _round_clip(scaled: np.ndarray, u: np.ndarray, bound: int) -> np.ndarray:
-    """Stochastically round pre-scaled values and clip into [-bound, bound].
+def _round_clip(scaled: np.ndarray, u: np.ndarray, bits: int) -> np.ndarray:
+    """Stochastically round pre-scaled values, clip into the signed b-bit
+    range [-(2^(b-1) - 1), 2^(b-1) - 1] and return codes of code_dtype(bits).
 
     Rounds down when the uniform draw u >= the fractional part, up
     otherwise, so the expected value of the code equals the input.
     """
+    bound = float(2 ** (bits - 1) - 1)
     codes = np.floor(scaled)
     codes += u < scaled - codes
-    np.clip(codes, -float(bound), float(bound), out=codes)
-    return codes.astype(np.int64)
+    np.clip(codes, -bound, bound, out=codes)
+    return codes.astype(code_dtype(bits))
 
 
 def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> QuantizedParamSet:
@@ -122,12 +133,15 @@ def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> Qu
     scales = np.array([scale_factor(a, b) for a in alpha.tolist()])
     scaled = np.repeat(scales, layout.sizes)
     scaled *= flat
-    codes = _round_clip(scaled, rng.random(flat.size), 2 ** (b - 1) - 1)
+    codes = _round_clip(scaled, rng.random(flat.size), b)
     return QuantizedParamSet(layout=layout, codes=codes, scales=scales, bits=b)
 
 
 def dequantize_params(q: QuantizedParamSet) -> ParamSet:
-    """Map every code back to a float: codes / the scale of its tensor."""
+    """Map every code back to a float: codes / the scale of its tensor.
+
+    Every int8, int16 or int32 code converts to float64 exactly, so the
+    result does not depend on the code type."""
     values = np.repeat(q.scales, q.layout.sizes)
     np.divide(q.codes, values, out=values)
     return ParamSet.from_vector(q.layout, values)

@@ -11,12 +11,14 @@ from fedqdp import rng as streams
 from fedqdp.config import parse_config_dict
 from fedqdp.data import LabeledDataset, label_histogram
 from fedqdp.federation import (
+    EVAL_ROWS,
     BlobsConfig,
     ClientData,
     ClientUpdate,
     ExperimentConfig,
     IdxConfig,
     PartitionConfig,
+    _row_blocks,
     aggregate,
     broadcast_bits,
     client_update,
@@ -27,7 +29,15 @@ from fedqdp.federation import (
     run_experiment,
     select_clients,
 )
-from fedqdp.models import ModelSpec, ParamSet, init_params, loss_and_grad, sgd_step
+from fedqdp.models import (
+    ModelSpec,
+    ParamSet,
+    _logits,
+    init_params,
+    loss_and_grad,
+    predict,
+    sgd_step,
+)
 from fedqdp.privacy import DpConfig
 from fedqdp.quantize import dequantize_params, quantize_params
 from fedqdp.schedule import ScheduleConfig
@@ -334,6 +344,55 @@ def test_evaluate_tie_and_accuracy():
     assert 0.0 <= acc <= 1.0
 
 
+def _eval_set(n, input_dim=64, num_classes=10, seed=0):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, input_dim))
+    labels = rng.integers(0, num_classes, size=n).astype(np.int64)
+    return LabeledDataset(features, labels, num_classes)
+
+
+def test_row_blocks_merge_the_short_tail():
+    for n in (1, 511, 512, 1023, 1024, 1535, 1536, 4000, 5000):
+        blocks = _row_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        if n < 2 * EVAL_ROWS:
+            assert sizes == [n]
+        else:
+            assert all(EVAL_ROWS <= k < 2 * EVAL_ROWS for k in sizes)
+
+
+@pytest.mark.parametrize("hidden", [0, 128, 256])
+def test_blocked_evaluation_equals_one_pass(hidden):
+    # Blocked logits equal the one-pass logits bit for bit, so a BLAS build
+    # that splits a taller matmul differently fails here, not in a digest.
+    spec = (ModelSpec("mlp", input_dim=64, num_classes=10, hidden_dim=hidden) if hidden
+            else ModelSpec("logistic", input_dim=64, num_classes=10))
+    params = init_params(spec, np.random.default_rng(hidden))
+    params = ParamSet.from_vector(params.layout, params.vector * 3.0)  # sharper logits
+    for n in (1, 511, 1023, 1024, 1535, 4000, 5000):
+        data = _eval_set(n, seed=n)
+        expected = float(np.mean(predict(spec, params, data.features) == data.labels))
+        assert evaluate(spec, params, data) == expected
+        blocks = [_logits(spec, params, data.features[rows])[0] for rows in _row_blocks(n)]
+        assert np.array_equal(np.concatenate(blocks), _logits(spec, params, data.features)[0])
+
+
+def test_evaluate_holds_one_block_activation():
+    spec = ModelSpec("mlp", input_dim=64, num_classes=10, hidden_dim=256)
+    params = init_params(spec, np.random.default_rng(1))
+    data = _eval_set(4000)
+    bound = 2 * EVAL_ROWS * spec.hidden_dim * 8 + 2**20
+    tracemalloc.start()
+    try:
+        evaluate(spec, params, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB >= bound {bound / 2**20:.2f} MiB"
+
+
 def test_single_client_full_batch_matches_plain_sgd():
     """N=P=1 at 32 bits without DP follows centralized SGD up to
     quantization roundtrip error."""
@@ -376,12 +435,13 @@ def test_power_law_partition_experiment_runs():
 @pytest.mark.parametrize("name", sorted(MLP_CONFIGS))
 def test_run_holds_data_once_and_one_activation(name):
     # Client shards are row indices, the forward pass writes into its matmul
-    # output, and a round's messages are freed before evaluation, so a run's
-    # peak is the features plus one hidden activation of the training set.
+    # output, a round's messages are freed before evaluation, and evaluation
+    # runs in row blocks, so a run's peak is the features plus one hidden
+    # activation of at most 2 * EVAL_ROWS rows.
     cfg = parse_config_dict(dict(MLP_CONFIGS[name], rounds=10))
     train, test = make_datasets(cfg.data, cfg.seed)
     bound = (train.features.nbytes + test.features.nbytes
-             + len(train) * cfg.model.hidden_dim * 8 + 4 * 2**20)
+             + 2 * EVAL_ROWS * cfg.model.hidden_dim * 8 + 4 * 2**20)
     del train, test
     tracemalloc.start()
     try:

@@ -10,6 +10,7 @@ from fedqdp.quantize import (
     QuantizedParamSet,
     _round_clip,
     clip_int,
+    code_dtype,
     dequantize_params,
     quantize_params,
     scale_factor,
@@ -70,8 +71,9 @@ def test_round_clip_handles_boundary_uniform():
     # u exactly 0 rounds integers down to themselves, never up
     scaled = np.array([2.0, -2.0, 2.5])
     u = np.zeros(3)
-    out = _round_clip(scaled, u, 127)
+    out = _round_clip(scaled, u, 8)
     assert np.array_equal(out, [2, -2, 3])  # frac 0.5 > u=0 rounds up
+    assert out.dtype == np.int8
 
 
 def test_clip_int_examples():
@@ -102,7 +104,7 @@ def test_quantize_codes_within_range_and_dtype():
     rng = np.random.default_rng(3)
     t = rng.standard_normal((7, 5)) * 10
     q, dq = _quantize_one(t, 8, rng)
-    assert q.codes.dtype == np.int64
+    assert q.codes.dtype == np.int8
     assert dq.shape == (7, 5)
     assert q.codes.min() >= -127 and q.codes.max() <= 127
     assert q.bits == 8
@@ -129,15 +131,23 @@ def test_quantize_validation():
 
 def test_quantized_param_set_validation():
     layout = Layout([("w", (2,)), ("b", (1,))])
-    codes = np.array([1, -2, 3], dtype=np.int64)
+    codes = np.array([1, -2, 3], dtype=np.int8)
     scales = np.array([1.0, 2.0])
     QuantizedParamSet(layout, codes, scales, 8)
+    QuantizedParamSet(layout, codes.astype(np.int16), scales, 16)
+    QuantizedParamSet(layout, codes.astype(np.int32), scales, 32)
     bad = [
-        (np.array([1, 128, 3], dtype=np.int64), scales, 8),  # beyond [-127, 127]
-        (np.array([1, -2, -3], dtype=np.int64), scales, 2),  # beyond [-1, 1]
-        (np.array([1, -2], dtype=np.int64), scales, 8),  # too short
-        (np.array([1, -2, 3, 4], dtype=np.int64), scales, 8),  # too long
-        (codes.astype(np.int32), scales, 8),
+        (np.array([1, -128, 3], dtype=np.int8), scales, 8),  # beyond [-127, 127]
+        (np.array([1, -2, -3], dtype=np.int8), scales, 2),  # beyond [-1, 1]
+        (np.array([1, -2], dtype=np.int8), scales, 8),  # too short
+        (np.array([1, -2, 3, 4], dtype=np.int8), scales, 8),  # too long
+        (codes.astype(np.int64), scales, 8),  # wider than the width needs
+        (codes.astype(np.int16), scales, 8),
+        (codes, scales, 16),  # narrower than the width needs
+        (codes.astype(np.int32), scales, 16),
+        (codes.astype(np.int16), scales, 32),
+        (codes.astype(np.int64), scales, 32),
+        (codes.astype(np.uint8), scales, 8),
         (codes.astype(np.float64), scales, 8),
         (codes.reshape(3, 1), scales, 8),
         (codes, np.array([1.0]), 8),  # one scale for two tensors
@@ -262,3 +272,40 @@ def test_quantize_params_equals_per_tensor_quantize():
                 ref = np.array(ref_codes[start : start + value.size], dtype=np.float64) / s
                 start += value.size
                 assert np.array_equal(back[name], ref.reshape(value.shape))
+
+
+def test_code_dtype_is_narrowest_signed_type():
+    assert [code_dtype(b) for b in (2, 8, 9, 16, 17, 32)] == [
+        np.int8, np.int8, np.int16, np.int16, np.int32, np.int32]
+    for bad in (1, 33, 8.5):
+        with pytest.raises(ValueError):
+            code_dtype(bad)
+
+
+def test_codes_held_at_metered_width_and_decode_exactly():
+    """Every width from 2 to 32 gives codes of code_dtype(b), and decoding
+    them equals decoding the same codes widened to int64, bit for bit."""
+    params = init_params(ModelSpec("mlp", input_dim=6, num_classes=4, hidden_dim=9),
+                         np.random.default_rng(13))
+    for bits in range(2, 33):
+        q = quantize_params(params, bits, np.random.default_rng(bits))
+        assert q.codes.dtype == code_dtype(bits)
+        bound = 2 ** (bits - 1) - 1
+        assert np.abs(q.codes.astype(np.int64)).max() == bound  # max|x| maps to the bound
+        wide = np.repeat(q.scales, q.layout.sizes)
+        np.divide(q.codes.astype(np.int64), wide, out=wide)
+        assert np.array_equal(dequantize_params(q).vector, wide)
+
+
+def test_quantized_param_set_checks_range_at_every_width():
+    layout = Layout([("t", (2,))])
+    scales = np.array([1.0])
+    for bits in range(2, 33):
+        dtype = code_dtype(bits)
+        bound = 2 ** (bits - 1) - 1
+        QuantizedParamSet(layout, np.array([-bound, bound], dtype=dtype), scales, bits)
+        # the most negative value of the type is one past the symmetric range
+        beyond = [-bound - 1] + ([bound + 1] if bound + 1 <= np.iinfo(dtype).max else [])
+        for value in beyond:
+            with pytest.raises(ValueError, match="range"):
+                QuantizedParamSet(layout, np.array([0, value], dtype=dtype), scales, bits)
