@@ -198,10 +198,6 @@ def select_clients(num_clients: int, per_round: int, t: int, seed: int) -> np.nd
     """Uniform sample of per_round distinct client ids, sorted ascending.
 
     Depends only on (num_clients, per_round, t, seed)."""
-    if not (1 <= per_round <= num_clients):
-        raise ValueError(
-            f"need 1 <= per_round <= num_clients, got {per_round} and {num_clients}"
-        )
     gen = streams.substream(seed, streams.SELECTION, t)
     ids = gen.choice(num_clients, size=per_round, replace=False)
     return np.sort(ids).astype(np.int64)

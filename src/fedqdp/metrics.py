@@ -23,14 +23,7 @@ _INT_COLUMNS = {"t", "downlink_bits", "uplink_bits"}
 
 def record_to_row(record: RoundRecord) -> dict:
     """Exported view of one record, column order fixed."""
-    return {
-        "t": record.t,
-        "downlink_bits": record.downlink_bits,
-        "uplink_bits": record.uplink_bits,
-        "mean_bits": record.mean_bits,
-        "test_acc": record.test_acc,
-        "train_acc": record.train_acc,
-    }
+    return {key: getattr(record, key) for key in COLUMNS}
 
 
 def _format_cell(key: str, value) -> str:
@@ -76,7 +69,9 @@ def read_records(path: str | Path) -> list[dict]:
     """Parse an exported metrics file back into row dicts.
 
     Numbers come back as int/float and missing accuracies as None, so a
-    write/read/write cycle is byte-identical.
+    write/read/write cycle is byte-identical. A csv row without exactly one
+    cell per column, or a jsonl line that is not an object with exactly the
+    columns as keys, raises ValueError naming the file and line.
     """
     path = Path(path)
     rows = []
@@ -86,6 +81,9 @@ def read_records(path: str | Path) -> list[dict]:
             if tuple(reader.fieldnames or ()) != COLUMNS:
                 raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
             for raw in reader:
+                # DictReader files missing cells as None and extra ones under None
+                if None in raw or None in raw.values():
+                    raise ValueError(f"{path}:{reader.line_num}: need {len(COLUMNS)} cells")
                 row = {}
                 for key in COLUMNS:
                     cell = raw[key]
@@ -98,9 +96,16 @@ def read_records(path: str | Path) -> list[dict]:
                 rows.append(row)
     elif path.suffix == ".jsonl":
         with open(path) as f:
-            for line in f:
-                if line.strip():
-                    rows.append(json.loads(line))
+            for line_num, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{line_num}: {exc}") from None
+                if not isinstance(row, dict) or set(row) != set(COLUMNS):
+                    raise ValueError(f"{path}:{line_num}: need an object with keys {list(COLUMNS)}")
+                rows.append(row)
     else:
         raise ValueError(f"unsupported metrics format {path.suffix!r}, use .csv or .jsonl")
     return rows

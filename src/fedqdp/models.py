@@ -196,26 +196,6 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamSet:
     )
 
 
-def _check_batch(spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarray):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"features must have shape (n, {spec.input_dim}), got {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
-    if x.shape[0] == 0:
-        raise ValueError("batch is empty")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
-    if y.min() < 0 or y.max() >= spec.num_classes:
-        raise ValueError(f"labels must lie in [0, {spec.num_classes}), got range "
-                         f"[{y.min()}, {y.max()}]")
-    expected = ("w", "b") if spec.kind == "logistic" else ("w1", "b1", "w2", "b2")
-    if params.names != expected:
-        raise ShapeMismatchError(f"params {params.names} do not match {spec.kind} model")
-    return x, y
-
-
 def _logits(spec: ModelSpec, params: ParamSet, x: np.ndarray):
     """Returns (logits, hidden activations or None).
 
@@ -260,8 +240,11 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarra
     exactly like the parameters. One exponential serves both the loss and
     the softmax, and each gradient tensor is written straight into its
     segment of the flat vector; the values equal the out-of-place formulas.
+
+    The batch is not checked: x is a non-empty float64 (n, input_dim) array
+    and y holds n integer labels in [0, num_classes), as LabeledDataset and
+    the config's model/data match ensure.
     """
-    x, y = _check_batch(spec, params, x, y)
     n = x.shape[0]
     rows = np.arange(n)
     logits, hidden = _logits(spec, params, x)
@@ -330,15 +313,14 @@ def l1_distance(a: ParamSet, b: ParamSet) -> float:
 
 
 def clip_gradient_l1(grad: ParamSet, xi: float) -> ParamSet:
-    """Hard-bound the gradient's L1 norm at xi.
+    """Hard-bound the gradient's L1 norm at xi, which must be positive
+    (DpConfig ensures it).
 
     Returns grad unchanged when the norm is already within the bound,
     otherwise rescales onto the bound. Rescaling repeats if float rounding
     leaves the norm a few ulp above xi, which makes the operation exactly
     idempotent.
     """
-    if not np.isfinite(xi) or xi <= 0:
-        raise ValueError(f"clip bound must be positive and finite, got {xi}")
     norm = l1_norm(grad)
     if norm <= xi:
         return grad
@@ -352,8 +334,6 @@ def clip_gradient_l1(grad: ParamSet, xi: float) -> ParamSet:
 
 def sgd_step(params: ParamSet, grad: ParamSet, eta: float) -> ParamSet:
     """One gradient descent step: params - eta * grad."""
-    if not np.isfinite(eta) or eta <= 0:
-        raise ValueError(f"learning rate must be positive and finite, got {eta}")
     params._require_conformable(grad)
     step = grad.vector * eta
     np.subtract(params.vector, step, out=step)

@@ -69,12 +69,6 @@ def compute_e0(lambda_i: float, eta: float, dataset_size: int) -> int:
 
     Requires lambda_i > 0 and a growth factor strictly above 1.
     """
-    if lambda_i <= 0:
-        raise ValueError(f"lambda_i must be positive, got {lambda_i}")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if dataset_size < 1:
-        raise ValueError(f"dataset_size must be >= 1, got {dataset_size}")
     growth = 1.0 + lambda_i * eta
     if growth <= 1.0:
         raise ValueError(f"growth factor 1 + lambda_i * eta rounds to {growth}, cannot reach the target")
@@ -103,14 +97,6 @@ def sensitivity(lambda_i: float, eta: float, local_epochs: int, dataset_size: in
     """
     if not np.isfinite(lambda_i) or lambda_i < 0:
         raise ValueError(f"lambda_i must be non-negative and finite, got {lambda_i}")
-    if not np.isfinite(eta) or eta <= 0:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-    if local_epochs < 1:
-        raise ValueError(f"local_epochs must be >= 1, got {local_epochs}")
-    if dataset_size < 1:
-        raise ValueError(f"dataset_size must be >= 1, got {dataset_size}")
-    if not np.isfinite(xi) or xi <= 0:
-        raise ValueError(f"xi must be positive and finite, got {xi}")
     lam, epochs, n = lambda_i, local_epochs, dataset_size
     if lam == 0.0:
         return 2.0 * xi * epochs * eta / n
@@ -138,16 +124,6 @@ def noise_scale(
     """
     if not np.isfinite(sensitivity_value) or sensitivity_value < 0:
         raise ValueError(f"sensitivity must be non-negative and finite, got {sensitivity_value}")
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if not (1 <= participants <= num_clients):
-        raise ValueError(
-            f"need 1 <= participants <= num_clients, got {participants} and {num_clients}"
-        )
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if local_epochs < 1:
-        raise ValueError(f"local_epochs must be >= 1, got {local_epochs}")
     factor = (participants * rounds) / (num_clients * local_epochs)
     return factor * sensitivity_value / dp.epsilon
 

@@ -73,12 +73,9 @@ def scale_factor(alpha: float, bits: int) -> float:
     alpha is the max absolute value of the tensor; alpha = 0 maps to
     scale 1 by convention.
     """
-    b = _check_bits(bits)
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"alpha must be non-negative and finite, got {alpha}")
     if alpha == 0.0:
         return 1.0
-    return float(2 ** (b - 1) - 1) / alpha
+    return float(2 ** (bits - 1) - 1) / alpha
 
 
 def stochastic_round(x: float, rng: np.random.Generator) -> int:

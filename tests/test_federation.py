@@ -109,13 +109,6 @@ def test_select_clients_roughly_uniform():
     assert np.max(np.abs(counts - expected)) < 4 * np.sqrt(rounds * 0.2 * 0.8)
 
 
-def test_select_clients_validation():
-    with pytest.raises(ValueError):
-        select_clients(5, 6, 0, 0)
-    with pytest.raises(ValueError):
-        select_clients(5, 0, 0, 0)
-
-
 # --- broadcast width ---------------------------------------------------------
 
 

@@ -107,6 +107,22 @@ def test_constraint_violations_name_the_problem():
         parse_config_dict({"schedule": {"mode": "dynamic", "lambda_h": 1.5}})
     with pytest.raises(ConfigError, match="epsilon"):
         parse_config_dict({"dp": {"epsilon": -1.0, "xi": 1.0}})
+    # the round loop's helpers (sgd_step, clip_gradient_l1, sensitivity,
+    # noise_scale, select_clients, cosine_bits, client_importance) take these
+    # as given, so the config is the one place that refuses them
+    for raw, message in (({"eta": 0.0}, "eta must be positive"),
+                         ({"eta": float("nan")}, "eta must be positive"),
+                         ({"dp": {"epsilon": 1.0, "xi": 0.0}}, "xi must be positive"),
+                         ({"per_round": 0}, "1 <= clients_per_round"),
+                         ({"clients": 0}, "num_clients must be >= 1"),
+                         ({"local_epochs": 0}, "local_epochs must be >= 1"),
+                         ({"rounds": -1}, "rounds must be >= 0"),
+                         ({"schedule": {"mode": "cosine", "b_min": 16, "b_max": 8}},
+                          "b_min <= b_max"),
+                         ({"schedule": {"mode": "dynamic", "lambda_h": -0.1}},
+                          "lambda_h must lie in")):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_dict(raw)
     # blob and partition ranges are checked when the config is read, not
     # when synthetic_blobs or a partitioner first sees them
     for data, key in (({"train_per_class": 0}, "train_per_class"),
@@ -311,6 +327,43 @@ def test_apply_override_and_grid():
         grid_cells(raw, {"seed": []})
 
 
+EDGE_RAW = {
+    "rounds": 2,
+    "clients": 4,
+    "per_round": 2,
+    "local_epochs": 2,
+    "batch_size": 8,
+    "eval_every": 1,
+    "schedule": {"mode": "dynamic", "b_min": 4, "b_max": 16},
+    "data": {"kind": "blobs", "num_classes": 3, "input_dim": 2, "train_per_class": 10,
+             "test_per_class": 5},
+}
+
+
+@pytest.mark.parametrize("override", [
+    pytest.param({"per_round": 4}, id="per_round_is_clients"),
+    pytest.param({"local_epochs": 1}, id="one_local_epoch"),
+    pytest.param({"batch_size": 1}, id="batch_of_one"),
+    pytest.param({"batch_size": 1000}, id="batch_above_largest_shard"),
+    pytest.param({"schedule": {"mode": "dynamic", "b_min": 8, "b_max": 8}}, id="b_min_is_b_max"),
+    pytest.param({"schedule": {"mode": "dynamic", "b_min": 4, "b_max": 16, "lambda_h": 0.0}},
+                 id="lambda_h_0"),
+    pytest.param({"schedule": {"mode": "dynamic", "b_min": 4, "b_max": 16, "lambda_h": 1.0}},
+                 id="lambda_h_1"),
+    pytest.param({"rounds": 1}, id="one_round"),
+    pytest.param({"dp": {"epsilon": 1e-3, "xi": 1e-6}}, id="tiny_epsilon_and_xi"),
+    pytest.param({"partition": {"scheme": "power_law", "exponent": 0.0}}, id="flat_power_law"),
+])
+def test_configs_at_the_edge_of_the_boundary_run(override):
+    # the round loop does not check its inputs again, so whatever the config
+    # accepts must run
+    cfg = parse_config_dict({**EDGE_RAW, **override})
+    records = run_experiment(cfg)
+    assert len(records) == cfg.rounds
+    for record in records:
+        assert cfg.schedule.b_min <= record.mean_bits <= cfg.schedule.b_max
+
+
 # --- metrics export ----------------------------------------------------------
 
 
@@ -480,6 +533,28 @@ def test_cli_compare_json(tmp_path, capsys):
           str(tmp_path / "a" / "metrics.csv"), "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["reduction_percent"] == 0.0
+
+
+def test_cli_compare_malformed_metrics_exits_2(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    write_records(_records(), good)
+    row = record_to_row(_records()[1])
+    header = "t,downlink_bits,uplink_bits,mean_bits,test_acc,train_acc"
+    bad = {
+        "missing_key.jsonl": (json.dumps(row) + "\n"
+                              + json.dumps({k: v for k, v in row.items() if k != "downlink_bits"}),
+                              2),
+        "list.jsonl": ("[1, 2]", 1),
+        "not_json.jsonl": ("{not json", 1),
+        "short_row.csv": (f"{header}\n0,1", 2),
+        "long_row.csv": (f"{header}\n0,1,2,3.0,,,7", 2),
+    }
+    for name, (text, line) in bad.items():
+        path = tmp_path / name
+        path.write_text(text + "\n")
+        assert main(["compare", str(good), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{line}:" in err and "Traceback" not in err
 
 
 def test_cli_sweep(tmp_path, capsys):

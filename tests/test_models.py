@@ -124,20 +124,6 @@ def test_predict_tie_goes_to_lowest_class():
     assert out[0] == 0
 
 
-def test_batch_validation_errors():
-    params = init_params(LOGISTIC, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGISTIC, params, np.zeros((0, 2)), np.zeros(0, dtype=int))
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGISTIC, params, np.zeros((2, 2)), np.array([0, 3]))
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGISTIC, params, np.zeros((2, 2)), np.array([0, -1]))
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGISTIC, params, np.zeros((2, 3)), np.array([0, 1]))
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGISTIC, params, np.zeros((2, 2)), np.array([0.0, 1.0]))
-
-
 def _flatten(params):
     return np.concatenate([v.ravel() for _, v in params.items()])
 
@@ -294,10 +280,6 @@ def test_clip_example_and_passthrough():
     assert np.array_equal(clipped["a"], [1.5, -1.5])
     small = ParamSet({"a": np.array([0.5, -0.5])})
     assert clip_gradient_l1(small, 3.0) is small
-    with pytest.raises(ValueError):
-        clip_gradient_l1(g, 0.0)
-    with pytest.raises(ValueError):
-        clip_gradient_l1(g, -1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -339,5 +321,3 @@ def test_sgd_validation():
     g = ParamSet({"w": np.zeros(3)})
     with pytest.raises(ShapeMismatchError):
         sgd_step(p, g, 0.1)
-    with pytest.raises(ValueError):
-        sgd_step(p, ParamSet({"w": np.zeros(2)}), 0.0)

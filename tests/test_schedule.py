@@ -48,13 +48,7 @@ def test_cosine_bits_monotone_in_nu():
 
 def test_cosine_bits_validation():
     with pytest.raises(ValueError):
-        cosine_bits(-1, 10, 32, 8, 1.0)
-    with pytest.raises(ValueError):
-        cosine_bits(11, 10, 32, 8, 1.0)
-    with pytest.raises(ValueError):
         cosine_bits(5, 10, 32, 8, 1.5)
-    with pytest.raises(ValueError):
-        cosine_bits(5, 10, 8, 32, 1.0)
 
 
 def test_round_bits_half_up_and_clamp():
@@ -74,18 +68,14 @@ def test_round_bits_always_in_range(b, lo, hi):
 
 
 def test_normalized_entropy_examples():
-    assert normalized_entropy(np.array([10, 10, 10, 10]), 4) == 1.0
-    assert normalized_entropy(np.array([7, 0, 0]), 3) == 0.0
-    assert abs(normalized_entropy(np.array([1, 1, 0, 0]), 4) - 0.5) < 1e-12
+    assert normalized_entropy(np.array([10, 10, 10, 10])) == 1.0
+    assert normalized_entropy(np.array([7, 0, 0])) == 0.0
+    assert abs(normalized_entropy(np.array([1, 1, 0, 0])) - 0.5) < 1e-12
 
 
 def test_normalized_entropy_validation():
     with pytest.raises(ValueError):
-        normalized_entropy(np.array([0, 0]), 2)
-    with pytest.raises(ValueError):
-        normalized_entropy(np.array([1, -1]), 2)
-    with pytest.raises(ValueError):
-        normalized_entropy(np.array([1, 1, 1]), 2)
+        normalized_entropy(np.array([0, 0]))
 
 
 def test_client_importance_pure_entropy_and_pure_size():
@@ -99,7 +89,7 @@ def test_client_importance_pure_entropy_and_pure_size():
 
 def test_client_importance_is_convex_mix():
     counts = np.array([6, 2])
-    h = normalized_entropy(counts, 2)
+    h = normalized_entropy(counts)
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         expected = lam * h + (1 - lam) * 0.5
         assert abs(client_importance(counts, 16, lam) - expected) < 1e-15
@@ -120,17 +110,9 @@ def test_client_importance_in_unit_interval(counts, lam, extra):
 
 
 def test_importance_inputs_validation():
-    # the dataset size and the class count are read off label_counts
-    with pytest.raises(ValueError, match="max_dataset_size"):
-        client_importance(np.array([5, 5]), 4, 0.5)  # exceeds max
-    with pytest.raises(ValueError, match="dataset_size"):
-        client_importance(np.array([0, 0]), 4, 0.5)  # empty
-    with pytest.raises(ValueError, match="num_classes"):
-        client_importance(np.array([1]), 4, 0.5)  # one class
-    with pytest.raises(ValueError, match="non-negative"):
-        client_importance(np.array([3, -1]), 4, 0.5)
-    with pytest.raises(ValueError, match="lambda_h"):
-        client_importance(np.array([1, 2]), 4, 1.5)
+    # the dataset size is read off label_counts, and an empty one has no entropy
+    with pytest.raises(ValueError, match="positive"):
+        client_importance(np.array([0, 0]), 4, 0.5)
 
 
 def test_schedule_bits_static():
@@ -170,13 +152,3 @@ def test_schedule_bits_dynamic_requires_importance():
     cfg = ScheduleConfig(mode="dynamic", b_max=32, b_min=8)
     with pytest.raises(ValueError):
         schedule_bits(cfg, 0, 10)
-
-
-def test_schedule_bits_round_out_of_range():
-    cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=8)
-    with pytest.raises(ValueError):
-        schedule_bits(cfg, 10, 10)
-    with pytest.raises(ValueError):
-        schedule_bits(cfg, -1, 10)
-    with pytest.raises(ValueError, match=r"outside \[0, 0\)"):
-        schedule_bits(cfg, 0, 0)  # a run needs at least one round
