@@ -63,9 +63,19 @@ def _validate_partition_args(labels: np.ndarray, num_clients: int) -> np.ndarray
         raise ValueError("labels must be a non-empty 1-D array")
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)  # bincount refuses uint64
+    if labels.min() < 0:
+        raise ValueError("labels must be non-negative")
     if labels.size < num_clients:
         raise ValueError(f"{labels.size} samples cannot cover {num_clients} clients")
     return labels
+
+
+def _classes_present(labels: np.ndarray) -> np.ndarray:
+    """Ascending ids of the classes that label at least one sample."""
+    return np.flatnonzero(np.bincount(labels))
 
 
 def dirichlet_partition(
@@ -80,18 +90,22 @@ def dirichlet_partition(
     labels = _validate_partition_args(labels, num_clients)
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    assigned: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-    for cls in np.unique(labels):
+    n = labels.size
+    owner = np.empty(n, dtype=np.int64)  # each sample's client
+    for cls in _classes_present(labels):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         proportions = rng.dirichlet(np.full(num_clients, alpha))
         cuts = (np.cumsum(proportions)[:-1] * idx.size).astype(np.int64)
-        for client, part in enumerate(np.split(idx, cuts)):
-            assigned[client].append(part)
-    parts = [
-        np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
-        for chunks in assigned
-    ]
+        # cuts rise and stay within idx.size, so these are the piece sizes
+        # np.split(idx, cuts) would hand to the clients in turn
+        owner[idx] = np.repeat(np.arange(num_clients), np.diff(cuts, prepend=0, append=idx.size))
+    # the keys are unique, so one sort groups the samples by client and
+    # orders each client's indices ascending
+    keys = owner * n + np.arange(n)
+    keys.sort()
+    sizes = np.bincount(owner, minlength=num_clients)
+    parts = np.split(keys % n, np.cumsum(sizes)[:-1])
     for client in range(num_clients):
         while parts[client].size == 0:
             donor = max(range(num_clients), key=lambda c: (parts[c].size, -c))
@@ -99,7 +113,7 @@ def dirichlet_partition(
                 raise ValueError("not enough samples to leave every client non-empty")
             parts[client] = parts[donor][-1:]
             parts[donor] = parts[donor][:-1]
-    return [p.astype(np.int64) for p in parts]
+    return parts
 
 
 def power_law_two_class_partition(
@@ -118,7 +132,7 @@ def power_law_two_class_partition(
     labels = _validate_partition_args(labels, num_clients)
     if not np.isfinite(exponent) or exponent < 0:
         raise ValueError(f"exponent must be non-negative and finite, got {exponent}")
-    present = np.unique(labels)
+    present = _classes_present(labels)
     if present.size < 2:
         raise ValueError("power-law partitioning needs at least 2 classes present")
     pairs = list(combinations(range(present.size), 2))

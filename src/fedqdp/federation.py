@@ -18,7 +18,6 @@ from fedqdp import rng as streams
 from fedqdp.data import (
     LabeledDataset,
     dirichlet_partition,
-    label_histogram,
     load_idx,
     power_law_two_class_partition,
     synthetic_blobs,
@@ -385,11 +384,14 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
             f"model num_classes {cfg.model.num_classes} != dataset classes {train.num_classes}"
         )
     parts = partition_dataset(train, cfg)
+    # every client's label histogram from one count of (client, label) pairs
+    k = train.num_classes
+    owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+    pairs = owner * k + train.labels[np.concatenate(parts)]
+    label_counts = np.bincount(pairs, minlength=len(parts) * k).reshape(len(parts), k)
     clients = [
-        ClientData(
-            client_id=i, dataset=train, indices=p, label_counts=label_histogram(train, p)
-        )
-        for i, p in enumerate(parts)
+        ClientData(client_id=i, dataset=train, indices=p, label_counts=counts)
+        for i, (p, counts) in enumerate(zip(parts, label_counts))
     ]
     state = ServerState(round=0, params=init_params(cfg.model, streams.substream(cfg.seed, streams.INIT)))
 

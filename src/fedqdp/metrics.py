@@ -19,6 +19,7 @@ from fedqdp.federation import RoundRecord
 
 COLUMNS = ("t", "downlink_bits", "uplink_bits", "mean_bits", "test_acc", "train_acc")
 _INT_COLUMNS = {"t", "downlink_bits", "uplink_bits"}
+_ACC_COLUMNS = {"test_acc", "train_acc"}
 
 
 def record_to_row(record: RoundRecord) -> dict:
@@ -65,13 +66,42 @@ def write_records(records: list[RoundRecord], path: str | Path) -> None:
         raise ValueError(f"unsupported metrics format {path.suffix!r}, use .csv or .jsonl")
 
 
+def _parse_cell(key: str, cell: str):
+    """A csv cell as the value it was written from; a cell that does not
+    parse is kept as text for _check_row to refuse."""
+    if cell == "":
+        return None
+    try:
+        return int(cell) if key in _INT_COLUMNS else float(cell)
+    except ValueError:
+        return cell
+
+
+def _check_row(row: dict, where: str) -> dict:
+    """Refuse a row whose values do not have their column's type: an int
+    for t and the bit columns, a number for mean_bits, a number or null for
+    the accuracies. Bools are not numbers here."""
+    for key in COLUMNS:
+        value = row[key]
+        if value is None and key in _ACC_COLUMNS:
+            continue
+        kinds = int if key in _INT_COLUMNS else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            need = "an integer" if key in _INT_COLUMNS else "a number"
+            if key in _ACC_COLUMNS:
+                need += " or null"
+            raise ValueError(f"{where}: {key} must be {need}, got {value!r}")
+    return row
+
+
 def read_records(path: str | Path) -> list[dict]:
     """Parse an exported metrics file back into row dicts.
 
     Numbers come back as int/float and missing accuracies as None, so a
     write/read/write cycle is byte-identical. A csv row without exactly one
-    cell per column, or a jsonl line that is not an object with exactly the
-    columns as keys, raises ValueError naming the file and line.
+    cell per column, a jsonl line that is not an object with exactly the
+    columns as keys, or a value of the wrong type raises ValueError naming
+    the file and line.
     """
     path = Path(path)
     rows = []
@@ -81,31 +111,25 @@ def read_records(path: str | Path) -> list[dict]:
             if tuple(reader.fieldnames or ()) != COLUMNS:
                 raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
             for raw in reader:
+                where = f"{path}:{reader.line_num}"
                 # DictReader files missing cells as None and extra ones under None
                 if None in raw or None in raw.values():
-                    raise ValueError(f"{path}:{reader.line_num}: need {len(COLUMNS)} cells")
-                row = {}
-                for key in COLUMNS:
-                    cell = raw[key]
-                    if cell == "":
-                        row[key] = None
-                    elif key in _INT_COLUMNS:
-                        row[key] = int(cell)
-                    else:
-                        row[key] = float(cell)
-                rows.append(row)
+                    raise ValueError(f"{where}: need {len(COLUMNS)} cells")
+                row = {key: _parse_cell(key, raw[key]) for key in COLUMNS}
+                rows.append(_check_row(row, where))
     elif path.suffix == ".jsonl":
         with open(path) as f:
             for line_num, line in enumerate(f, 1):
                 if not line.strip():
                     continue
+                where = f"{path}:{line_num}"
                 try:
                     row = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{line_num}: {exc}") from None
+                    raise ValueError(f"{where}: {exc}") from None
                 if not isinstance(row, dict) or set(row) != set(COLUMNS):
-                    raise ValueError(f"{path}:{line_num}: need an object with keys {list(COLUMNS)}")
-                rows.append(row)
+                    raise ValueError(f"{where}: need an object with keys {list(COLUMNS)}")
+                rows.append(_check_row(row, where))
     else:
         raise ValueError(f"unsupported metrics format {path.suffix!r}, use .csv or .jsonl")
     return rows

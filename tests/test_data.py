@@ -186,6 +186,74 @@ def test_dirichlet_partition_validation():
         dirichlet_partition(np.array([]), 1, 0.5, rng)
 
 
+@pytest.mark.parametrize("partition, arg", [(dirichlet_partition, 0.5),
+                                            (power_law_two_class_partition, 1.2)])
+def test_partitioners_refuse_non_integer_and_negative_labels(partition, arg):
+    rng = np.random.default_rng(0)
+    for labels in (np.array([0.0, 1.0, 1.0]), np.array([False, True, True])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            partition(labels, 2, arg, rng)
+    with pytest.raises(ValueError, match="labels must be non-negative"):
+        partition(np.array([0, 1, -1]), 2, arg, rng)
+    # any integer dtype is accepted and gives the int64 result
+    labels = np.repeat(np.arange(3), 20)
+    for dtype in (np.uint8, np.int32, np.uint64):
+        narrow = partition(labels.astype(dtype), 4, arg, np.random.default_rng(5))
+        wide = partition(labels, 4, arg, np.random.default_rng(5))
+        for a, b in zip(narrow, wide):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
+def _dirichlet_reference(labels, num_clients, alpha, rng):
+    """Dirichlet partition built from per-client lists of pieces."""
+    assigned = [[] for _ in range(num_clients)]
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        proportions = rng.dirichlet(np.full(num_clients, alpha))
+        cuts = (np.cumsum(proportions)[:-1] * idx.size).astype(np.int64)
+        for client, part in enumerate(np.split(idx, cuts)):
+            assigned[client].append(part)
+    parts = [
+        np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
+        for chunks in assigned
+    ]
+    for client in range(num_clients):
+        while parts[client].size == 0:
+            donor = max(range(num_clients), key=lambda c: (parts[c].size, -c))
+            if parts[donor].size < 2:
+                raise ValueError("not enough samples to leave every client non-empty")
+            parts[client] = parts[donor][-1:]
+            parts[donor] = parts[donor][:-1]
+    return [p.astype(np.int64) for p in parts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.one_of(st.integers(0, 3), st.integers(4, 150)), min_size=1, max_size=12),
+    num_clients=st.integers(1, 60),
+    alpha=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(counts=[3, 2], num_clients=5, alpha=0.01, seed=0)  # every client but one steals
+@example(counts=[0, 0, 40], num_clients=60, alpha=10.0, seed=1)  # absent classes
+def test_dirichlet_partition_matches_list_reference(counts, num_clients, alpha, seed):
+    labels = np.repeat(np.arange(len(counts)), counts)
+    np.random.default_rng(seed).shuffle(labels)
+    assume(labels.size >= num_clients)
+    try:
+        expected = _dirichlet_reference(labels, num_clients, alpha, np.random.default_rng(seed))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            dirichlet_partition(labels, num_clients, alpha, np.random.default_rng(seed))
+        assert str(raised.value) == str(exc)
+        return
+    parts = dirichlet_partition(labels, num_clients, alpha, np.random.default_rng(seed))
+    assert len(parts) == len(expected)
+    for part, ref in zip(parts, expected):
+        assert part.dtype == ref.dtype == np.int64 and np.array_equal(part, ref)
+
+
 # --- power-law two-class partition ------------------------------------------
 
 

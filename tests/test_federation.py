@@ -1,12 +1,18 @@
 """Protocol orchestration: selection, client updates, aggregation, accounting."""
 
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_golden import MLP_CONFIGS
 
+import fedqdp
+from fedqdp import federation
 from fedqdp import rng as streams
 from fedqdp.config import parse_config_dict
 from fedqdp.data import LabeledDataset, label_histogram
@@ -423,6 +429,47 @@ def test_power_law_partition_experiment_runs():
     cfg = make_config(rounds=3, partition=PartitionConfig(scheme="power_law", exponent=1.2))
     records = run_experiment(cfg)
     assert len(records) == 3
+
+
+@pytest.mark.parametrize("part", [PART, PartitionConfig(scheme="power_law", exponent=1.2)])
+def test_client_label_counts_match_each_shard(part, monkeypatch):
+    built = []
+
+    def recording_client_data(**kwargs):
+        built.append(ClientData(**kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(federation, "ClientData", recording_client_data)
+    cfg = make_config(rounds=0, partition=part)
+    run_experiment(cfg)
+    assert [c.client_id for c in built] == list(range(cfg.num_clients))
+    train, _ = make_datasets(cfg.data, cfg.seed)
+    for client in built:
+        expected = label_histogram(train, client.indices)
+        assert client.label_counts.dtype == expected.dtype
+        assert np.array_equal(client.label_counts, expected)
+
+
+def test_run_does_not_import_numpy_ma():
+    # numpy's masked-array module costs import time and resident memory,
+    # and no output of a run needs it
+    code = (
+        "import sys\n"
+        "from fedqdp.config import parse_config_dict\n"
+        "from fedqdp.federation import run_experiment\n"
+        "for part in ({'scheme': 'dirichlet', 'alpha': 0.5},\n"
+        "             {'scheme': 'power_law', 'exponent': 1.2}):\n"
+        "    run_experiment(parse_config_dict({'rounds': 2, 'clients': 6, 'per_round': 2,\n"
+        "                                      'partition': part}))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    package_root = str(Path(fedqdp.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([package_root, inherited]) if inherited else package_root)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("name", sorted(MLP_CONFIGS))

@@ -557,6 +557,31 @@ def test_cli_compare_malformed_metrics_exits_2(tmp_path, capsys):
         assert f"{path}:{line}:" in err and "Traceback" not in err
 
 
+def test_cli_compare_refuses_values_of_the_wrong_type(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    write_records(_records(), good)
+    row = record_to_row(_records()[1])
+    header = "t,downlink_bits,uplink_bits,mean_bits,test_acc,train_acc"
+    bad = {
+        "null_bits.jsonl": (json.dumps(dict(row, downlink_bits=None)), "downlink_bits"),
+        "float_t.jsonl": (json.dumps(dict(row, t=1.0)), "t"),
+        "bool_bits.jsonl": (json.dumps(dict(row, uplink_bits=True)), "uplink_bits"),
+        "text_mean.jsonl": (json.dumps(dict(row, mean_bits="8")), "mean_bits"),
+        "bool_acc.jsonl": (json.dumps(dict(row, test_acc=False)), "test_acc"),
+        "null_mean.jsonl": (json.dumps(dict(row, mean_bits=None)), "mean_bits"),
+        "text_cell.csv": (f"{header}\nabc,1,2,3.0,,", "t"),
+        "blank_bits.csv": (f"{header}\n0,1,,3.0,,", "uplink_bits"),
+        "text_acc.csv": (f"{header}\n0,1,2,3.0,high,", "test_acc"),
+    }
+    for name, (text, column) in bad.items():
+        path = tmp_path / name
+        path.write_text(text + "\n")
+        assert main(["compare", str(good), str(path)]) == 2, name
+        err = capsys.readouterr().err
+        line = 1 if name.endswith(".jsonl") else 2
+        assert f"{path}:{line}: {column} must be" in err and "Traceback" not in err
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "sweep"
