@@ -127,10 +127,6 @@ def load_config_dict(path: str | Path) -> dict:
     return raw
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
-    return parse_config_dict(load_config_dict(path))
-
-
 def apply_override(raw: dict, dotted_key: str, value) -> dict:
     """Return a copy of raw with the dotted key set, e.g. 'schedule.b_min'."""
     out = copy.deepcopy(raw)

@@ -51,12 +51,6 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-def label_histogram(dataset: LabeledDataset, indices: np.ndarray | None = None) -> np.ndarray:
-    """Per-class sample counts, over the whole dataset or an index subset."""
-    labels = dataset.labels if indices is None else dataset.labels[np.asarray(indices)]
-    return np.bincount(labels, minlength=dataset.num_classes).astype(np.int64)
-
-
 def _validate_partition_args(labels: np.ndarray, num_clients: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:

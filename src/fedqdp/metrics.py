@@ -80,7 +80,8 @@ def _parse_cell(key: str, cell: str):
 def _check_row(row: dict, where: str) -> dict:
     """Refuse a row whose values do not have their column's type: an int
     for t and the bit columns, a number for mean_bits, a number or null for
-    the accuracies. Bools are not numbers here."""
+    the accuracies. Bools are not numbers here. Every number must be finite
+    and non-negative."""
     for key in COLUMNS:
         value = row[key]
         if value is None and key in _ACC_COLUMNS:
@@ -91,6 +92,9 @@ def _check_row(row: dict, where: str) -> dict:
             if key in _ACC_COLUMNS:
                 need += " or null"
             raise ValueError(f"{where}: {key} must be {need}, got {value!r}")
+        # false for nan as well as for negative and infinite values
+        if not 0 <= value < float("inf"):
+            raise ValueError(f"{where}: {key} must be finite and non-negative, got {value!r}")
     return row
 
 
@@ -100,8 +104,8 @@ def read_records(path: str | Path) -> list[dict]:
     Numbers come back as int/float and missing accuracies as None, so a
     write/read/write cycle is byte-identical. A csv row without exactly one
     cell per column, a jsonl line that is not an object with exactly the
-    columns as keys, or a value of the wrong type raises ValueError naming
-    the file and line.
+    columns as keys, or a value of the wrong type, negative or not finite
+    raises ValueError naming the file and line.
     """
     path = Path(path)
     rows = []
@@ -152,13 +156,6 @@ def write_manifest(manifest: RunManifest, path: str | Path) -> None:
     with _atomic_write(path) as f:
         json.dump(asdict(manifest), f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def read_manifest(path: str | Path) -> RunManifest:
-    with open(path) as f:
-        raw = json.load(f)
-    raw["outputs"] = tuple(raw["outputs"])
-    return RunManifest(**raw)
 
 
 @dataclass(frozen=True)

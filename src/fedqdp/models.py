@@ -137,15 +137,8 @@ class ParamSet:
         self._require_conformable(other)
         return ParamSet.from_vector(self._layout, self._vector + other._vector)
 
-    def __sub__(self, other: "ParamSet") -> "ParamSet":
-        self._require_conformable(other)
-        return ParamSet.from_vector(self._layout, self._vector - other._vector)
-
     def scale(self, factor: float) -> "ParamSet":
         return ParamSet.from_vector(self._layout, self._vector * float(factor))
-
-    def copy(self) -> "ParamSet":
-        return ParamSet.from_vector(self._layout, self._vector.copy())
 
     def zeros_like(self) -> "ParamSet":
         return ParamSet.from_vector(self._layout, np.zeros(self._layout.size))
@@ -215,22 +208,11 @@ def _logits(spec: ModelSpec, params: ParamSet, x: np.ndarray):
     return logits, h
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def predict_proba(spec: ModelSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Class probabilities, one row per sample; rows sum to 1."""
-    x = np.asarray(x, dtype=np.float64)
-    logits, _ = _logits(spec, params, x)
-    return _softmax(logits)
-
-
 def predict(spec: ModelSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Predicted class ids; argmax ties resolve to the lowest class id."""
-    return np.argmax(predict_proba(spec, params, x), axis=1)
+    """Predicted class ids of the float64 rows of x: the largest logit wins,
+    and exact ties go to the lowest class id."""
+    logits, _ = _logits(spec, params, x)
+    return np.argmax(logits, axis=1)
 
 
 def loss_and_grad(spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarray):
@@ -295,10 +277,11 @@ def l1_norm(params: ParamSet) -> float:
 
 
 def l1_distance(a: ParamSet, b: ParamSet) -> float:
-    """l1_norm(a - b), without building the difference set.
+    """The L1 norm of the elementwise difference a - b, summed per tensor
+    like l1_norm, without building a difference set.
 
     Raises ShapeMismatchError when the sets do not conform, and ValueError
-    when the difference overflows, as a - b itself does.
+    naming the tensor when an element of the difference overflows.
     """
     a._require_conformable(b)
     diff = a.vector - b.vector

@@ -101,7 +101,11 @@ def sensitivity(lambda_i: float, eta: float, local_epochs: int, dataset_size: in
     if lam == 0.0:
         return 2.0 * xi * epochs * eta / n
     growth = 1.0 + lam * eta
-    if growth**epochs < 1.0 + n:
+    try:
+        geometric = growth**epochs < 1.0 + n
+    except OverflowError:  # a power past every float is past 1 + n too
+        geometric = False
+    if geometric:
         return (2.0 * xi / (lam * n)) * np.expm1(epochs * np.log1p(lam * eta))
     e0 = compute_e0(lam, eta, n)
     return 2.0 * xi + 2.0 * eta * xi * (epochs - e0)

@@ -59,10 +59,6 @@ class QuantizedParamSet:
             raise ValueError(f"scales must be positive and finite, got {self.scales}")
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return self.layout.names
-
-    @property
     def num_elements(self) -> int:
         return self.codes.size
 
@@ -76,26 +72,6 @@ def scale_factor(alpha: float, bits: int) -> float:
     if alpha == 0.0:
         return 1.0
     return float(2 ** (bits - 1) - 1) / alpha
-
-
-def stochastic_round(x: float, rng: np.random.Generator) -> int:
-    """Round down with probability ceil(x) - x, up otherwise.
-
-    Integers round to themselves; a uniform draw is consumed either way so
-    scalar and vectorized rounding stay stream-compatible.
-    """
-    if not np.isfinite(x):
-        raise ValueError(f"cannot round non-finite value {x}")
-    lower = np.floor(x)
-    u = rng.random()
-    return int(lower) + (1 if u < x - lower else 0)
-
-
-def clip_int(value: int, bits: int) -> int:
-    """Clamp an integer into the symmetric signed range for the bit width."""
-    b = _check_bits(bits)
-    bound = 2 ** (b - 1) - 1
-    return max(-bound, min(bound, int(value)))
 
 
 def _round_clip(scaled: np.ndarray, u: np.ndarray, bits: int) -> np.ndarray:

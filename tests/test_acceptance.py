@@ -8,10 +8,10 @@ import json
 from time import perf_counter
 
 import numpy as np
+from test_data import label_histogram
 
 from fedqdp import rng as streams
 from fedqdp.cli import main as cli_main
-from fedqdp.data import label_histogram
 from fedqdp.federation import (
     BlobsConfig,
     ExperimentConfig,
@@ -255,7 +255,7 @@ def test_acceptance_7_single_client_matches_centralized_sgd():
         batch_size=16, eta=0.1, seed=3, eval_every=rounds,
     )
     captured = []
-    run_experiment(cfg, round_hook=lambda st, rec: captured.append(st.params.copy()))
+    run_experiment(cfg, round_hook=lambda st, rec: captured.append(st.params))
 
     train, _ = make_datasets(cfg.data, cfg.seed)
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))

@@ -13,7 +13,6 @@ from fedqdp.data import (
     IdxParseError,
     LabeledDataset,
     dirichlet_partition,
-    label_histogram,
     load_idx,
     power_law_two_class_partition,
     synthetic_blobs,
@@ -29,6 +28,13 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), 1)
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros(4), np.array([0]), 2)
+
+
+def label_histogram(dataset, indices=None):
+    """Per-class sample counts, over the whole dataset or an index subset:
+    the oracle for a client's label_counts."""
+    labels = dataset.labels if indices is None else dataset.labels[np.asarray(indices)]
+    return np.bincount(labels, minlength=dataset.num_classes).astype(np.int64)
 
 
 def test_label_histogram_full_and_subset():

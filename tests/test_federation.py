@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_data import label_histogram
 from test_golden import MLP_CONFIGS
 
 import fedqdp
 from fedqdp import federation
 from fedqdp import rng as streams
 from fedqdp.config import parse_config_dict
-from fedqdp.data import LabeledDataset, label_histogram
+from fedqdp.data import LabeledDataset
 from fedqdp.federation import (
     EVAL_ROWS,
     BlobsConfig,
@@ -400,7 +401,7 @@ def test_single_client_full_batch_matches_plain_sgd():
         batch_size=16, local_epochs=3, seed=2,
     )
     captured = []
-    run_experiment(cfg, round_hook=lambda st, rec: captured.append(st.params.copy()))
+    run_experiment(cfg, round_hook=lambda st, rec: captured.append(st.params))
 
     train, _ = make_datasets(cfg.data, cfg.seed)
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))

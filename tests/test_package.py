@@ -1,0 +1,41 @@
+"""Package shape: src/fedqdp holds only code that the package itself uses.
+
+A helper that only tests call belongs in the tests, next to its callers.
+"""
+
+import ast
+from pathlib import Path
+
+import fedqdp
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    """Every name read or written in node, bare or as an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def unused_definitions(package: Path) -> list[str]:
+    """'module.name' of each module-level function or class in package that
+    no other statement of the package names; names in fedqdp.__all__ count
+    as named. An import alone does not count."""
+    statements = [(path.stem, stmt)
+                  for path in sorted(package.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    named = [_identifiers(stmt) for _, stmt in statements]
+    unused = []
+    for i, (module, stmt) in enumerate(statements):
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name in fedqdp.__all__:
+            continue
+        if not any(stmt.name in names for j, names in enumerate(named) if j != i):
+            unused.append(f"{module}.{stmt.name}")
+    return unused
+
+
+def test_every_top_level_definition_is_named_elsewhere_in_the_package():
+    assert unused_definitions(Path(fedqdp.__file__).parent) == []

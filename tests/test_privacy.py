@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from test_models import reference_l1_distance
 
 from fedqdp import rng as streams
-from fedqdp.models import ModelSpec, ParamSet, init_params, l1_norm, loss_and_grad
+from fedqdp.models import ModelSpec, ParamSet, init_params, loss_and_grad
 from fedqdp.privacy import (
     BatchTrace,
     DpConfig,
@@ -110,6 +111,13 @@ def test_sensitivity_continuous_at_lambda_zero():
         assert abs(near - base) <= 1e-6 * base
 
 
+def test_sensitivity_saturates_when_the_growth_power_overflows():
+    # 3.0 ** 1000 is past every float; 3 ** 5 = 243 is the first power
+    # reaching 1 + n = 101, so e0 = 5 and 2 + 2 * 0.5 * (1000 - 5) = 997
+    assert sensitivity(4.0, 0.5, 1000, 100, 1.0) == 997.0
+    assert sensitivity(4.0, 0.5, 1000, 100, 1.0) == oracle_sensitivity(4.0, 0.5, 1000, 100, 1.0)
+
+
 def test_sensitivity_validation():
     with pytest.raises(ValueError, match="lambda_i"):
         sensitivity(-1.0, 0.1, 5, 100, 100.0)
@@ -162,7 +170,7 @@ def test_lipschitz_estimate_matches_all_pairs_oracle():
         for j, (grad, params) in enumerate(epoch):
             trace.record(grad, params, j)
     want = max(
-        l1_norm(g1 - g2) / l1_norm(p1 - p2)
+        reference_l1_distance(g1, g2) / reference_l1_distance(p1, p2)
         for first, second in zip(epochs, epochs[1:])
         for (g1, p1), (g2, p2) in zip(first, second)
     )
@@ -200,7 +208,7 @@ def test_batch_trace_builds_no_parameter_sets(monkeypatch):
     assert trace.estimate > 0.0
     assert built == []
     monkeypatch.undo()
-    want = max(l1_norm(g1 - g2) / l1_norm(p1 - p2)
+    want = max(reference_l1_distance(g1, g2) / reference_l1_distance(p1, p2)
                for (g1, p1), (g2, p2) in zip(epochs[0], epochs[1]))
     assert trace.estimate == want
 

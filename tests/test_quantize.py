@@ -9,13 +9,34 @@ from fedqdp.models import Layout, ModelSpec, ParamSet, init_params
 from fedqdp.quantize import (
     QuantizedParamSet,
     _round_clip,
-    clip_int,
     code_dtype,
     dequantize_params,
     quantize_params,
     scale_factor,
-    stochastic_round,
 )
+
+
+# --- scalar reference ------------------------------------------------------
+# One element at a time, the rule the vectorized quantizer must follow.
+
+
+def stochastic_round(x: float, rng: np.random.Generator) -> int:
+    """Round down with probability ceil(x) - x, up otherwise.
+
+    Integers round to themselves; a uniform draw is consumed either way so
+    scalar and vectorized rounding stay stream-compatible.
+    """
+    if not np.isfinite(x):
+        raise ValueError(f"cannot round non-finite value {x}")
+    lower = np.floor(x)
+    u = rng.random()
+    return int(lower) + (1 if u < x - lower else 0)
+
+
+def clip_int(value: int, bits: int) -> int:
+    """Clamp an integer into the symmetric signed range for the bit width."""
+    bound = 2 ** (bits - 1) - 1
+    return max(-bound, min(bound, int(value)))
 
 
 def test_scale_factor_examples():
@@ -205,9 +226,9 @@ def test_quantize_deterministic_per_stream():
 def test_quantize_params_preserves_order_and_scales():
     params = ParamSet({"w": np.array([[2.0, -1.0]]), "b": np.array([0.25])})
     q = quantize_params(params, 8, np.random.default_rng(9))
-    assert q.names == ("w", "b")
+    assert q.layout.names == ("w", "b")
     assert q.bits == 8
-    scales = dict(zip(q.names, q.scales.tolist()))
+    scales = dict(zip(q.layout.names, q.scales.tolist()))
     assert scales["w"] == 127.0 / 2.0
     assert scales["b"] == 127.0 / 0.25
     back = dequantize_params(q)
@@ -219,7 +240,7 @@ def test_quantize_params_preserves_order_and_scales():
 
 def test_quantize_params_empty():
     q = quantize_params(ParamSet({}), 8, np.random.default_rng(0))
-    assert q.names == () and q.codes.size == 0 and q.scales.size == 0
+    assert q.layout.names == () and q.codes.size == 0 and q.scales.size == 0
     assert dequantize_params(q).names == ()
 
 
