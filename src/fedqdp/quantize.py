@@ -11,6 +11,7 @@ signed integer type that fits the bit width.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +68,14 @@ def scale_factor(alpha: float, bits: int) -> float:
     """Scale mapping [-alpha, alpha] onto the signed integer range.
 
     alpha is the max absolute value of the tensor; alpha = 0 maps to
-    scale 1 by convention.
+    scale 1 by convention. For alpha below (2^(b-1) - 1) / DBL_MAX (about
+    1.2e-299 at 32 bits, 7e-307 at 8) the quotient overflows, so the scale
+    is clamped to the largest finite float, which still keeps
+    alpha * scale <= 2^(b-1) - 1.
     """
     if alpha == 0.0:
         return 1.0
-    return float(2 ** (bits - 1) - 1) / alpha
+    return min(float(2 ** (bits - 1) - 1) / alpha, sys.float_info.max)
 
 
 def _round_clip(scaled: np.ndarray, u: np.ndarray, bits: int) -> np.ndarray:

@@ -352,7 +352,7 @@ def _eval_set(n, input_dim=64, num_classes=10, seed=0):
 
 
 def test_row_blocks_merge_the_short_tail():
-    for n in (1, 511, 512, 1023, 1024, 1535, 1536, 4000, 5000):
+    for n in (1, 255, 256, 500, 511, 512, 767, 768, 1023, 1024, 1535, 1536, 4000, 5000):
         blocks = _row_blocks(n)
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
@@ -363,6 +363,19 @@ def test_row_blocks_merge_the_short_tail():
             assert all(EVAL_ROWS <= k < 2 * EVAL_ROWS for k in sizes)
 
 
+def test_eval_rows_keeps_the_bit_identical_floor():
+    # Blocks of 128 rows or more gave the one-pass logits bit for bit on
+    # trained weights; 64-row blocks did not (README, "Memory").
+    assert EVAL_ROWS >= 128
+
+
+def _assert_blocked_equals_one_pass(spec, params, data):
+    expected = float(np.mean(predict(spec, params, data.features) == data.labels))
+    assert evaluate(spec, params, data) == expected
+    blocks = [_logits(spec, params, data.features[rows])[0] for rows in _row_blocks(len(data))]
+    assert np.array_equal(np.concatenate(blocks), _logits(spec, params, data.features)[0])
+
+
 @pytest.mark.parametrize("hidden", [0, 128, 256])
 def test_blocked_evaluation_equals_one_pass(hidden):
     # Blocked logits equal the one-pass logits bit for bit, so a BLAS build
@@ -371,12 +384,19 @@ def test_blocked_evaluation_equals_one_pass(hidden):
             else ModelSpec("logistic", input_dim=64, num_classes=10))
     params = init_params(spec, np.random.default_rng(hidden))
     params = ParamSet.from_vector(params.layout, params.vector * 3.0)  # sharper logits
-    for n in (1, 511, 1023, 1024, 1535, 4000, 5000):
-        data = _eval_set(n, seed=n)
-        expected = float(np.mean(predict(spec, params, data.features) == data.labels))
-        assert evaluate(spec, params, data) == expected
-        blocks = [_logits(spec, params, data.features[rows])[0] for rows in _row_blocks(n)]
-        assert np.array_equal(np.concatenate(blocks), _logits(spec, params, data.features)[0])
+    for n in (1, 255, 511, 767, 1023, 1024, 1535, 4000, 5000):
+        _assert_blocked_equals_one_pass(spec, params, _eval_set(n, seed=n))
+
+
+@pytest.mark.parametrize("name", sorted(MLP_CONFIGS))
+def test_blocked_evaluation_equals_one_pass_on_trained_weights(name):
+    cfg = parse_config_dict(dict(MLP_CONFIGS[name], rounds=10))
+    kept = []
+    run_experiment(cfg, round_hook=lambda st, rec: kept.append(st.params))
+    train, test = make_datasets(cfg.data, cfg.seed)
+    for params in (kept[0], kept[-1]):
+        for data in (train, test):
+            _assert_blocked_equals_one_pass(cfg.model, params, data)
 
 
 def test_evaluate_holds_one_block_activation():

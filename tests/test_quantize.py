@@ -1,5 +1,8 @@
 """Quantizer: scales, stochastic rounding, roundtrip bounds, unbiasedness."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,11 @@ def test_scale_factor_examples():
     assert scale_factor(0.0, 8) == 1.0
     assert scale_factor(2.0, 2) == 0.5  # (2^1 - 1) / 2
     assert scale_factor(1.0, 32) == float(2**31 - 1)
+    # a quotient that overflows is clamped; a finite one keeps its bits
+    assert scale_factor(1e-310, 8) == sys.float_info.max
+    assert scale_factor(1e-300, 32) == sys.float_info.max
+    assert scale_factor(1e-300, 8) == 127.0 / 1e-300
+    assert scale_factor(1.3e-299, 32) == float(2**31 - 1) / 1.3e-299
 
 
 def test_stochastic_round_integers_fixed():
@@ -124,6 +132,22 @@ def test_quantize_zero_tensor():
     assert q.scales.tolist() == [1.0]
     assert np.all(q.codes == 0)
     assert np.array_equal(dq, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bits", [2, 8, 16, 32])
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 2.2e-308, 1e-300, -3e-300])
+def test_quantize_tiny_tensors(bits, x):
+    # below (2^(b-1) - 1) / DBL_MAX the scale quotient overflows, yet every
+    # finite set must quantize, without a warning, to a valid message
+    t = np.array([x, -x / 3, 0.0])
+    bound = 2 ** (bits - 1) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(20):
+            q, dq = _quantize_one(t, bits, np.random.default_rng(seed))
+            assert np.isfinite(q.scales).all() and (q.scales > 0).all()
+            assert -bound <= q.codes.min() and q.codes.max() <= bound
+            assert np.all(np.abs(dq - t) <= 1.0 / q.scales[0])
 
 
 def test_quantize_validation():
