@@ -10,7 +10,7 @@ header (one fp32 scale and a one-byte width tag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,16 +139,6 @@ class ExperimentConfig:
                 raise ValueError(f"{samples} training samples cannot cover {self.num_clients} clients")
 
 
-@dataclass
-class ServerState:
-    """Mutable server view: current round, parameters, cumulative bits."""
-
-    round: int
-    params: ParamSet
-    downlink_bits: int = 0
-    uplink_bits: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class ClientUpdate:
     params: QuantizedParamSet
@@ -165,8 +155,8 @@ class RoundRecord:
     downlink_bits: int
     uplink_bits: int
     mean_bits: float
-    test_acc: float | None
-    train_acc: float | None
+    test_acc: float | None = None
+    train_acc: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,35 +337,41 @@ def partition_dataset(train: LabeledDataset, cfg: ExperimentConfig) -> list[np.n
 
 def _train_round(
     params: ParamSet, clients: list[ClientData], cfg: ExperimentConfig, t: int
-) -> tuple[ParamSet, np.ndarray, int, int, float]:
+) -> tuple[ParamSet, RoundRecord]:
     """One round up to aggregation: broadcast, local training, upload.
 
-    Returns (aggregated parameters, selected ids, downlink bits, uplink
-    bits, mean upload width). The broadcast and the uploads are locals, so
-    they are freed on return, before the caller evaluates.
+    Returns the aggregated parameters and the round's record, with both
+    accuracies None. The broadcast and the uploads are locals, so they are
+    freed on return, before the caller evaluates.
     """
     ids = select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)
     b_t = broadcast_bits(cfg.schedule, t, cfg.rounds)
     q_global = quantize_params(params, b_t, streams.substream(cfg.seed, streams.SERVER_ROUNDING, t))
-    downlink = cfg.clients_per_round * comm_cost(q_global)
     # every client decodes the same broadcast; ParamSets are read-only,
     # so one decoded copy is shared
     global_params = dequantize_params(q_global)
     selected = [clients[i] for i in ids]
     n_max = max(c.size for c in selected)
     updates = [client_update(global_params, c, cfg, t, n_max) for c in selected]
-    uplink = sum(comm_cost(u.params) for u in updates)
-    mean_bits = round(float(np.mean([u.params.bits for u in updates])), 6)
-    return aggregate(updates), ids, downlink, uplink, mean_bits
+    record = RoundRecord(
+        t=t,
+        selected=tuple(int(i) for i in ids),
+        downlink_bits=cfg.clients_per_round * comm_cost(q_global),
+        uplink_bits=sum(comm_cost(u.params) for u in updates),
+        mean_bits=round(float(np.mean([u.params.bits for u in updates])), 6),
+    )
+    return aggregate(updates), record
 
 
 def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
     """Run the full protocol and return one RoundRecord per round.
 
     Clients train one after another in sorted selection order, which is
-    also the aggregation order. round_hook, when given, is called with
-    (ServerState, RoundRecord) after every round.
-    Accuracies are computed every eval_every rounds and on the final round.
+    also the aggregation order. round_hook, when given, is called as
+    round_hook(params, record) after every round, with the round's
+    aggregated parameters and its record; running bit totals are sums over
+    the records. Accuracies are computed every eval_every rounds and on
+    the final round.
     """
     train, test = make_datasets(cfg.data, cfg.seed)
     if cfg.model.input_dim != train.input_dim:
@@ -396,28 +392,16 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
         ClientData(client_id=i, dataset=train, indices=p, label_counts=counts)
         for i, (p, counts) in enumerate(zip(parts, label_counts))
     ]
-    state = ServerState(round=0, params=init_params(cfg.model, streams.substream(cfg.seed, streams.INIT)))
+    params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
 
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
-        state.params, ids, downlink, uplink, mean_bits = _train_round(state.params, clients, cfg, t)
-        state.round = t + 1
-        state.downlink_bits += downlink
-        state.uplink_bits += uplink
-
-        do_eval = ((t + 1) % cfg.eval_every == 0) or (t == cfg.rounds - 1)
-        test_acc = round(evaluate(cfg.model, state.params, test), 6) if do_eval else None
-        train_acc = round(evaluate(cfg.model, state.params, train), 6) if do_eval else None
-        record = RoundRecord(
-            t=t,
-            selected=tuple(int(i) for i in ids),
-            downlink_bits=downlink,
-            uplink_bits=uplink,
-            mean_bits=mean_bits,
-            test_acc=test_acc,
-            train_acc=train_acc,
-        )
+        params, record = _train_round(params, clients, cfg, t)
+        if (t + 1) % cfg.eval_every == 0 or t == cfg.rounds - 1:
+            test_acc = round(evaluate(cfg.model, params, test), 6)
+            train_acc = round(evaluate(cfg.model, params, train), 6)
+            record = replace(record, test_acc=test_acc, train_acc=train_acc)
         records.append(record)
         if round_hook is not None:
-            round_hook(state, record)
+            round_hook(params, record)
     return records

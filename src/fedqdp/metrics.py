@@ -113,7 +113,7 @@ def read_records(path: str | Path) -> list[dict]:
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
             if tuple(reader.fieldnames or ()) != COLUMNS:
-                raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
+                raise ValueError(f"{path}:1: unexpected columns {reader.fieldnames}")
             for raw in reader:
                 where = f"{path}:{reader.line_num}"
                 # DictReader files missing cells as None and extra ones under None

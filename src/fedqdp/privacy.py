@@ -9,6 +9,7 @@ expects to participate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,48 +68,49 @@ class BatchTrace:
 def compute_e0(lambda_i: float, eta: float, dataset_size: int) -> int:
     """Smallest integer e with (1 + lambda_i * eta)^e >= 1 + dataset_size.
 
-    Requires lambda_i > 0 and a growth factor strictly above 1.
+    Requires lambda_i > 0 and a growth factor strictly above 1. The log
+    ratio lands within a few epochs of e0; two short loops then settle it
+    with the float power test of the definition.
     """
     growth = 1.0 + lambda_i * eta
     if growth <= 1.0:
         raise ValueError(f"growth factor 1 + lambda_i * eta rounds to {growth}, cannot reach the target")
     target = 1.0 + dataset_size
-    hi = 1
-    while growth**hi < target:
-        hi *= 2
-    lo = hi // 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if growth**mid >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    e = math.ceil(math.log(target) / math.log(growth))
+    while e > 0 and growth ** (e - 1) >= target:
+        e -= 1
+    while growth**e < target:
+        e += 1
+    return e
 
 
 def sensitivity(lambda_i: float, eta: float, local_epochs: int, dataset_size: int, xi: float) -> float:
     """L1 sensitivity of the final local parameters to one sample change.
 
     Three regimes: a flat-gradient bound linear in epochs when lambda_i = 0,
-    a geometric-growth bound while (1 + lambda_i eta)^E < 1 + n, and a
+    a geometric-growth bound while E < e0 (see compute_e0), and a
     saturated bound of 2 xi plus a linear tail once growth has crossed
-    1 + n. The middle branch uses expm1/log1p so it meets the lambda_i = 0
-    branch continuously.
+    1 + n. A growth factor that rounds to 1 never crosses. The middle
+    branch uses expm1/log1p so it meets the lambda_i = 0 branch
+    continuously. A bound past the float range raises ValueError naming
+    the inputs.
     """
     if not np.isfinite(lambda_i) or lambda_i < 0:
         raise ValueError(f"lambda_i must be non-negative and finite, got {lambda_i}")
     lam, epochs, n = lambda_i, local_epochs, dataset_size
+    e0 = compute_e0(lam, eta, n) if 1.0 + lam * eta > 1.0 else math.inf
     if lam == 0.0:
-        return 2.0 * xi * epochs * eta / n
-    growth = 1.0 + lam * eta
-    try:
-        geometric = growth**epochs < 1.0 + n
-    except OverflowError:  # a power past every float is past 1 + n too
-        geometric = False
-    if geometric:
-        return (2.0 * xi / (lam * n)) * np.expm1(epochs * np.log1p(lam * eta))
-    e0 = compute_e0(lam, eta, n)
-    return 2.0 * xi + 2.0 * eta * xi * (epochs - e0)
+        value = 2.0 * xi * epochs * eta / n
+    elif epochs < e0:
+        value = (2.0 * xi / (lam * n)) * float(np.expm1(epochs * np.log1p(lam * eta)))
+    else:
+        value = 2.0 * xi + 2.0 * eta * xi * (epochs - e0)
+    if not math.isfinite(value):
+        raise ValueError(
+            f"sensitivity overflows at eta={eta}, xi={xi} "
+            f"(lambda_i={lam}, local_epochs={epochs}, dataset_size={n})"
+        )
+    return value
 
 
 def noise_scale(
@@ -124,12 +126,16 @@ def noise_scale(
 
     Each release spends epsilon * N * E / (P * T); over the P * T / N
     rounds a client expects to join, basic composition (Dwork & Roth,
-    2014) gives an expected total of epsilon * E.
+    2014) gives an expected total of epsilon * E. A scale past the float
+    range raises ValueError naming epsilon.
     """
     if not np.isfinite(sensitivity_value) or sensitivity_value < 0:
         raise ValueError(f"sensitivity must be non-negative and finite, got {sensitivity_value}")
     factor = (participants * rounds) / (num_clients * local_epochs)
-    return factor * sensitivity_value / dp.epsilon
+    scale = factor * float(sensitivity_value) / dp.epsilon
+    if not math.isfinite(scale):
+        raise ValueError(f"noise scale overflows at epsilon={dp.epsilon}, sensitivity {sensitivity_value}")
+    return scale
 
 
 def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:

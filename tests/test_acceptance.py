@@ -255,7 +255,7 @@ def test_acceptance_7_single_client_matches_centralized_sgd():
         batch_size=16, eta=0.1, seed=3, eval_every=rounds,
     )
     captured = []
-    run_experiment(cfg, round_hook=lambda st, rec: captured.append(st.params))
+    run_experiment(cfg, round_hook=lambda params, rec: captured.append(params))
 
     train, _ = make_datasets(cfg.data, cfg.seed)
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))

@@ -161,6 +161,13 @@ def test_dirichlet_partition_no_empty_clients_under_tiny_alpha():
         parts = dirichlet_partition(labels, 25, 0.05, np.random.default_rng(seed))
         _exact_cover(parts, 60)
         assert all(p.size >= 1 for p in parts)
+    # as many samples as clients: stealing from the largest always finds a
+    # donor with two or more, and every client ends with exactly one
+    labels = np.repeat([0, 1, 2], 7)
+    for seed in range(20):
+        parts = dirichlet_partition(labels, 21, 0.01, np.random.default_rng(seed))
+        assert [p.size for p in parts] == [1] * 21
+        _exact_cover(parts, 21)
 
 
 def test_dirichlet_partition_alpha_controls_skew():
@@ -288,6 +295,19 @@ def test_power_law_exponent_zero_is_near_uniform():
     parts = power_law_two_class_partition(labels, 8, 0.0, np.random.default_rng(2))
     sizes = [p.size for p in parts]
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_power_law_leaves_the_tail_classes_partly_unassigned():
+    # the shape of the wide_comm benchmark workload: the head clients use up
+    # classes 0-4, and nobody takes the 552 samples left in classes 5-9
+    labels = np.repeat(np.arange(10), 400)
+    for seed in (0, 3, 17):
+        parts = power_law_two_class_partition(labels, 200, 1.2, np.random.default_rng(seed))
+        assigned = np.concatenate(parts)
+        assert assigned.size == np.unique(assigned).size == 3448
+        per_class = np.bincount(labels[assigned], minlength=10)
+        assert per_class[:5].tolist() == [400] * 5
+        assert per_class[5:].sum() == 2000 - 552
 
 
 def test_power_law_disjoint_and_minimum_per_class():
@@ -441,6 +461,12 @@ def test_load_idx_count_mismatch(tmp_path):
     pixels = np.zeros((2, 2, 2), dtype=np.uint8)
     img, lab = _write_idx_pair(tmp_path, pixels, [0, 1, 1], label_count=3)
     with pytest.raises(IdxParseError, match="mismatch"):
+        load_idx(img, lab)
+
+
+def test_load_idx_no_samples(tmp_path):
+    img, lab = _write_idx_pair(tmp_path, np.zeros((0, 2, 2), dtype=np.uint8), [])
+    with pytest.raises(IdxParseError, match="no samples"):
         load_idx(img, lab)
 
 

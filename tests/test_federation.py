@@ -39,6 +39,7 @@ from fedqdp.federation import (
 from fedqdp.models import (
     ModelSpec,
     ParamSet,
+    ShapeMismatchError,
     _logits,
     init_params,
     loss_and_grad,
@@ -230,6 +231,11 @@ def test_aggregate_permutation_invariant_to_ulp():
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
         aggregate([])
+    other = ParamSet({"v": np.ones((2, 2))})
+    mixed = [_constant_update(1.0, 1),
+             ClientUpdate(quantize_params(other, 8, np.random.default_rng(0)), 1)]
+    with pytest.raises(ShapeMismatchError, match="differ in tensor names or shapes"):
+        aggregate(mixed)
 
 
 # --- run_experiment ----------------------------------------------------------
@@ -297,22 +303,30 @@ def test_bit_accounting_reconstructed_from_streams():
 
 def test_hook_sees_round_progression():
     seen = []
-    cfg = make_config(rounds=5)
-    run_experiment(cfg, round_hook=lambda state, rec: seen.append((state.round, rec.t)))
-    assert seen == [(t + 1, t) for t in range(5)]
+    cfg = make_config(rounds=7)
+    records = run_experiment(cfg, round_hook=lambda params, rec: seen.append((params, rec)))
+    assert [rec for _, rec in seen] == records
+    assert [rec.t for _, rec in seen] == list(range(7))
+    # accuracies are filled in before the hook sees an evaluation round
+    assert [rec.test_acc is not None for _, rec in seen] == [False] * 4 + [True, False, True]
+    for params, _ in seen:
+        assert isinstance(params, ParamSet) and params.layout == seen[-1][0].layout
+    # the last round's parameters are the ones the final accuracies measure
+    train, test = make_datasets(cfg.data, cfg.seed)
+    assert round(evaluate(cfg.model, seen[-1][0], test), 6) == records[-1].test_acc
+    assert round(evaluate(cfg.model, seen[-1][0], train), 6) == records[-1].train_acc
 
 
-def test_cumulative_bits_match_records():
-    totals = []
-    cfg = make_config(rounds=5)
-    records = run_experiment(
-        cfg, round_hook=lambda state, rec: totals.append((state.downlink_bits, state.uplink_bits))
-    )
-    down = up = 0
-    for r, (cum_down, cum_up) in zip(records, totals):
-        down += r.downlink_bits
-        up += r.uplink_bits
-        assert (down, up) == (cum_down, cum_up)
+def test_two_argument_hook_that_reads_only_the_round_index():
+    # perfbench/run.py times rounds with a hook of this shape: two
+    # positional parameters, of which it reads only record.t
+    completed = []
+
+    def hook(state, record):
+        completed.append(record.t + 1)
+
+    run_experiment(make_config(rounds=3), round_hook=hook)
+    assert completed == [1, 2, 3]
 
 
 def test_model_dataset_mismatch_rejected(tmp_path):
@@ -335,6 +349,20 @@ def test_model_dataset_mismatch_rejected(tmp_path):
                       model=ModelSpec("logistic", input_dim=4, num_classes=4))
     with pytest.raises(ValueError, match="classes"):
         run_experiment(cfg)
+
+
+def test_idx_train_and_test_share_one_class_count(tmp_path):
+    # labels 0-2 in one file and 0-1 in the other: both sets get 3 classes,
+    # whichever of them saw fewer
+    images = tmp_path / "img.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(range(16)))
+    three, two = tmp_path / "three.idx", tmp_path / "two.idx"
+    three.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 2, 0]))
+    two.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 1, 0]))
+    for train_labels, test_labels in ((three, two), (two, three)):
+        data = IdxConfig(str(images), str(train_labels), str(images), str(test_labels))
+        train, test = make_datasets(data, seed=0)
+        assert train.num_classes == test.num_classes == 3
 
 
 def test_evaluate_tie_and_accuracy():
@@ -392,7 +420,7 @@ def test_blocked_evaluation_equals_one_pass(hidden):
 def test_blocked_evaluation_equals_one_pass_on_trained_weights(name):
     cfg = parse_config_dict(dict(MLP_CONFIGS[name], rounds=10))
     kept = []
-    run_experiment(cfg, round_hook=lambda st, rec: kept.append(st.params))
+    run_experiment(cfg, round_hook=lambda params, rec: kept.append(params))
     train, test = make_datasets(cfg.data, cfg.seed)
     for params in (kept[0], kept[-1]):
         for data in (train, test):
@@ -421,7 +449,7 @@ def test_single_client_full_batch_matches_plain_sgd():
         batch_size=16, local_epochs=3, seed=2,
     )
     captured = []
-    run_experiment(cfg, round_hook=lambda st, rec: captured.append(st.params))
+    run_experiment(cfg, round_hook=lambda params, rec: captured.append(params))
 
     train, _ = make_datasets(cfg.data, cfg.seed)
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))

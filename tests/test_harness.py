@@ -94,6 +94,8 @@ def test_unknown_keys_rejected_at_every_level():
         parse_config_dict({"schedule": [1]})
     with pytest.raises(ConfigError, match="train_images"):
         parse_config_dict({"data": {"kind": "blobs", "train_images": "x"}})
+    with pytest.raises(ConfigError, match="data.kind must be 'blobs' or 'idx', got 'csv'"):
+        parse_config_dict({"data": {"kind": "csv"}})
     # pure epsilon-DP has no delta to set
     with pytest.raises(ConfigError, match="delta"):
         parse_config_dict({"dp": {"epsilon": 1.0, "xi": 1.0, "delta": 0}})
@@ -116,6 +118,10 @@ def test_constraint_violations_name_the_problem():
                          ({"clients": 0}, "num_clients must be >= 1"),
                          ({"local_epochs": 0}, "local_epochs must be >= 1"),
                          ({"rounds": -1}, "rounds must be >= 0"),
+                         ({"batch_size": 0}, "batch_size must be >= 1"),
+                         ({"seed": -1}, "seed must be non-negative"),
+                         ({"eval_every": 0}, "eval_every must be >= 1"),
+                         ({"partition": {"scheme": "iid"}}, "scheme must be 'dirichlet'"),
                          ({"schedule": {"mode": "cosine", "b_min": 16, "b_max": 8}},
                           "b_min <= b_max"),
                          ({"schedule": {"mode": "dynamic", "lambda_h": -0.1}},
@@ -301,6 +307,9 @@ def test_parse_config_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_config_dict(bad)
+    bad.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="top level must be a JSON object"):
+        load_config_dict(bad)
 
 
 def test_apply_override_and_grid():
@@ -324,6 +333,8 @@ def test_apply_override_and_grid():
         grid_cells(raw, {})
     with pytest.raises(ConfigError):
         grid_cells(raw, {"seed": []})
+    with pytest.raises(ConfigError, match="cannot descend into non-object at 'mode'"):
+        apply_override(raw, "schedule.mode.bits", 4)
 
 
 EDGE_RAW = {
@@ -411,6 +422,10 @@ def test_jsonl_roundtrip_identical(tmp_path):
     write_records(_records(), path)
     rows = read_records(path)
     assert rows == [record_to_row(r) for r in _records()]
+    # blank lines carry no row
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + path.read_text().replace("\n", "\n  \n"))
+    assert read_records(spaced) == rows
     # write -> read -> write is byte-stable
     second = tmp_path / "m2.jsonl"
     with open(second, "w") as f:
@@ -431,6 +446,10 @@ def test_empty_records_header_only(tmp_path):
 def test_unsupported_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="format"):
         write_records([], tmp_path / "m.parquet")
+    path = tmp_path / "m.txt"
+    path.write_text("t\n0\n")
+    with pytest.raises(ValueError, match="unsupported metrics format '.txt'"):
+        read_records(path)
 
 
 def test_total_bits_and_best_accuracy():
@@ -458,6 +477,11 @@ def test_compare_runs_identical_and_half(tmp_path):
     write_records(halved, b)
     summary = compare_runs(a, b)
     assert abs(summary.reduction_percent - 50.0) < 1e-9
+    # a reduction relative to no traffic at all is undefined
+    silent = tmp_path / "silent.csv"
+    write_records([], silent)
+    with pytest.raises(ValueError, match="baseline reports no traffic"):
+        compare_runs(silent, a)
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -546,6 +570,7 @@ def test_cli_compare_malformed_metrics_exits_2(tmp_path, capsys):
         "list.jsonl": ("[1, 2]", 1),
         "not_json.jsonl": ("{not json", 1),
         "short_row.csv": (f"{header}\n0,1", 2),
+        "other_columns.csv": ("t,bits\n0,1", 1),
         "long_row.csv": (f"{header}\n0,1,2,3.0,,,7", 2),
         # well-typed but impossible values: negative counts, nan and inf
         "negative_and_nan.csv": (f"{header}\n0,100,-500,nan,nan,inf", 2),
@@ -628,6 +653,12 @@ def test_cli_sweep_invalid_cell_runs_nothing(tmp_path, capsys):
     assert "'per_round': 100" in capsys.readouterr().err
     # no cell_* directory and no summary.csv: nothing was created at all
     assert not out.exists()
+    # a grid that is not a JSON object is refused before anything is made
+    for grid, message in (("{not json", "grid is neither a file nor valid JSON"),
+                          ("[1, 2]", "grid must be a JSON object")):
+        assert main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
     # an explicit model that does not fit a cell's blobs is refused too,
     # not found when that cell runs
     path = tmp_path / "model.json"
@@ -702,6 +733,28 @@ def test_cli_run_survives_an_overflowing_sensitivity_power(tmp_path):
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert len(read_records(tmp_path / "out" / "metrics.csv")) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("dp.xi", 1e308, "xi=1e+308"),
+        ("eta", 1e308, "eta=1e+308"),
+        ("dp.epsilon", 5e-324, "epsilon=5e-324"),
+        ("data.spread", 1e308, "spread=1e+308"),
+    ],
+)
+def test_cli_run_refuses_an_overflowing_input_by_name(tmp_path, capsys, key, value, named):
+    # valid by the range checks, but past float64 once multiplied out; any
+    # numpy RuntimeWarning on the way is an error under this suite's filters
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    raw = load_config_dict(configs / "blobs_dp_dynamic.json")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(apply_override(dict(raw, rounds=3), key, value)))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "overflows" in err and named in err
+    assert "Warning" not in err and "Traceback" not in err
 
 
 def test_cli_out_env_default(tmp_path):

@@ -67,6 +67,8 @@ def test_paramset_arithmetic_and_conformability():
         a + ParamSet({"w": np.array([1.0, 2.0, 3.0]), "b": np.array([3.0])})
     with pytest.raises(ShapeMismatchError):
         a + ParamSet({"w": np.array([1.0, 2.0])})
+    with pytest.raises(ShapeMismatchError, match=r"shape \(4,\) does not fit a layout of 3"):
+        ParamSet.from_vector(a.layout, np.zeros(4))
 
 
 def test_init_logistic_tensors():

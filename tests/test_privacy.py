@@ -1,5 +1,8 @@
 """Privacy: sensitivity branches, threshold epoch, Laplace mechanism."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from test_models import reference_l1_distance
@@ -66,13 +69,16 @@ def test_compute_e0_validation():
 
 
 def oracle_sensitivity(lam, eta, epochs, n, xi):
-    """Direct transcription of the three-branch bound."""
+    """Direct transcription of the three-branch bound. The geometric branch
+    is evaluated in exact rationals from the float product lam * eta, so it
+    keeps its value when 1 + lam * eta rounds to 1, which never crosses
+    1 + n."""
     if lam == 0.0:
         return 2.0 * xi * epochs * eta / n
-    growth = 1.0 + lam * eta
-    e0 = exhaustive_e0(lam, eta, n)
+    e0 = exhaustive_e0(lam, eta, n) if 1.0 + lam * eta > 1.0 else math.inf
     if epochs < e0:
-        return (2.0 * xi / (lam * n)) * (growth**epochs - 1.0)
+        growth = 1 + Fraction(lam * eta)
+        return float(Fraction(2.0 * xi) / (Fraction(lam) * n) * (growth**epochs - 1))
     return 2.0 * xi + 2.0 * eta * xi * (epochs - e0)
 
 
@@ -118,11 +124,43 @@ def test_sensitivity_saturates_when_the_growth_power_overflows():
     assert sensitivity(4.0, 0.5, 1000, 100, 1.0) == oracle_sensitivity(4.0, 0.5, 1000, 100, 1.0)
 
 
+@pytest.mark.parametrize(
+    "lam, eta, epochs, n, xi",
+    [
+        (1e-17, 0.1, 5, 100, 100.0),  # 1 + lam * eta rounds to 1
+        (1e-17, 1e-4, 10_000, 10**18, 1.0),
+        (1e-300, 1e-30, 5, 100, 100.0),  # lam * eta itself rounds to 0
+        (1e6, 10.0, 10_000, 100, 1.0),  # (1 + 1e7)^1e4 is past every float
+        (1e6, 10.0, 10_000, 10**18, 1.0),
+        (1.0, 0.1, 434, 10**18, 1.0),  # e0 = 435, the last geometric epoch
+        (1.0, 0.1, 435, 10**18, 1.0),
+        (1.0, 0.1, 435, 10**18 - 1, 1.0),
+        (1e-3, 1.0, 41_468, 10**18, 2.0),  # e0 = 41,468 from a log ratio
+        (2.0, 0.5, 60, 2**60, 1.0),  # 1.0 + n rounds to 2^60, which 2^60 reaches
+        (4.0, 1.0, 3, 124, 1.0),  # log(125) / log(5) rounds up past e0 = 3
+        (0.983720759242336, 1.0, 53, 5840748715194042, 1.0),  # the log ratio gives 53, e0 is 54
+    ],
+)
+def test_sensitivity_and_e0_match_the_oracles_at_the_float_edges(lam, eta, epochs, n, xi):
+    got = sensitivity(lam, eta, epochs, n, xi)
+    want = oracle_sensitivity(lam, eta, epochs, n, xi)
+    assert abs(got - want) <= 1e-8 * want
+    if 1.0 + lam * eta > 1.0:
+        assert compute_e0(lam, eta, n) == exhaustive_e0(lam, eta, n)
+    else:
+        with pytest.raises(ValueError, match="growth factor"):
+            compute_e0(lam, eta, n)
+
+
 def test_sensitivity_validation():
     with pytest.raises(ValueError, match="lambda_i"):
         sensitivity(-1.0, 0.1, 5, 100, 100.0)
     with pytest.raises(ValueError, match="lambda_i"):
         sensitivity(np.inf, 0.1, 5, 100, 100.0)
+    # a bound past the float range, in each regime: flat, geometric, saturated
+    for lam, eta, epochs, n in ((0.0, 0.1, 5, 1), (0.1, 0.1, 2, 100), (1e6, 10.0, 10, 100)):
+        with pytest.raises(ValueError, match=r"sensitivity overflows at eta=.*, xi=1e\+308"):
+            sensitivity(lam, eta, epochs, n, 1e308)
 
 
 # --- smoothness estimate ---------------------------------------------------
@@ -226,6 +264,8 @@ def test_noise_scale_validation():
     dp = DpConfig(epsilon=1.0, xi=1.0)
     with pytest.raises(ValueError):
         noise_scale(-1.0, dp, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="noise scale overflows at epsilon=5e-324"):
+        noise_scale(np.float64(1.0), DpConfig(epsilon=5e-324, xi=1.0), 1, 1, 1, 1)
 
 
 def test_laplace_noise_zero_scale_is_exact_zero():
