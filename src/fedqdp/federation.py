@@ -4,8 +4,7 @@ Each round the server picks a client subset, broadcasts quantized global
 parameters, clients train locally (optionally clipping gradients and adding
 Laplace noise before upload), quantize at their scheduled bit width, and
 the server averages the dequantized uploads weighted by dataset size.
-Every quantized message costs elements * bits plus a fixed per-tensor
-header (one fp32 scale and a one-byte width tag).
+Every message is metered by quantize.comm_cost.
 """
 
 from __future__ import annotations
@@ -33,11 +32,9 @@ from fedqdp.models import (
     sgd_step,
 )
 from fedqdp.privacy import BatchTrace, DpConfig, laplace_noise, noise_scale, sensitivity
-from fedqdp.quantize import QuantizedParamSet, dequantize_params, quantize_params
+from fedqdp.quantize import QuantizedParamSet, comm_cost, dequantize_params, quantize_params
 from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 
-SCALE_BITS = 32
-TAG_BITS = 8
 EVAL_ROWS = 256
 
 
@@ -178,11 +175,6 @@ class ClientData:
         return self.indices.shape[0]
 
 
-def comm_cost(q: QuantizedParamSet) -> int:
-    """Bits to transmit one quantized parameter message."""
-    return q.num_elements * q.bits + len(q.layout) * (SCALE_BITS + TAG_BITS)
-
-
 def select_clients(num_clients: int, per_round: int, t: int, seed: int) -> np.ndarray:
     """Uniform sample of per_round distinct client ids, sorted ascending.
 
@@ -220,12 +212,6 @@ def evaluate(spec: ModelSpec, params: ParamSet, dataset: LabeledDataset) -> floa
         pred = predict(spec, params, dataset.features[rows])
         correct += int(np.count_nonzero(pred == dataset.labels[rows]))
     return correct / n
-
-
-def broadcast_bits(schedule_cfg: ScheduleConfig, t: int, rounds: int) -> int:
-    """Bit width of the server broadcast: static width, or the cosine width
-    at full weight. The dynamic mode damps uploads only."""
-    return schedule_bits(schedule_cfg, t, rounds, nu=1.0)
 
 
 def client_update(
@@ -345,7 +331,8 @@ def _train_round(
     freed on return, before the caller evaluates.
     """
     ids = select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)
-    b_t = broadcast_bits(cfg.schedule, t, cfg.rounds)
+    # the broadcast goes at full weight: the dynamic mode damps uploads only
+    b_t = schedule_bits(cfg.schedule, t, cfg.rounds, nu=1.0)
     q_global = quantize_params(params, b_t, streams.substream(cfg.seed, streams.SERVER_ROUNDING, t))
     # every client decodes the same broadcast; ParamSets are read-only,
     # so one decoded copy is shared

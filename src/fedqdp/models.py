@@ -1,7 +1,7 @@
 """Dense-parameter classifiers: softmax regression and a one-hidden-layer MLP.
 
 Model parameters are named float64 tensors packed into one contiguous
-vector, so every whole-model operation is one numpy call on that vector.
+vector, and every whole-model operation works on that vector.
 Gradients are exact analytic gradients of the mean softmax cross-entropy;
 the optimizer is plain SGD with an optional hard L1-norm bound on the
 gradient.
@@ -107,13 +107,6 @@ class ParamSet:
     def vector(self) -> np.ndarray:
         """Every tensor, flattened and concatenated in layout order (read-only)."""
         return self._vector
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._layout.names
-
-    def items(self) -> tuple[tuple[str, np.ndarray], ...]:
-        return tuple((name, self[name]) for name in self._layout.names)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._layout.view(self._vector, name)

@@ -10,6 +10,7 @@ expects to participate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +93,9 @@ def sensitivity(lambda_i: float, eta: float, local_epochs: int, dataset_size: in
     saturated bound of 2 xi plus a linear tail once growth has crossed
     1 + n. A growth factor that rounds to 1 never crosses. The middle
     branch uses expm1/log1p so it meets the lambda_i = 0 branch
-    continuously. A bound past the float range raises ValueError naming
-    the inputs.
+    continuously; where a tiny lambda_i overflows 2 xi / (lambda_i n), it
+    is evaluated from the flat bound instead. A bound past the float range
+    raises ValueError naming the inputs.
     """
     if not np.isfinite(lambda_i) or lambda_i < 0:
         raise ValueError(f"lambda_i must be non-negative and finite, got {lambda_i}")
@@ -103,6 +105,13 @@ def sensitivity(lambda_i: float, eta: float, local_epochs: int, dataset_size: in
         value = 2.0 * xi * epochs * eta / n
     elif epochs < e0:
         value = (2.0 * xi / (lam * n)) * float(np.expm1(epochs * np.log1p(lam * eta)))
+        if not math.isfinite(value):
+            # 2 xi / (lambda_i n) overflowed ahead of the small growth term.
+            # The same bound is the flat one times ((1 + x)^E - 1) / (E x),
+            # x = lambda_i eta, a ratio that rounds to 1 once x is subnormal.
+            x = lam * eta
+            ratio = math.expm1(epochs * math.log1p(x)) / (epochs * x) if x >= sys.float_info.min else 1.0
+            value = 2.0 * xi * epochs * eta / n * ratio
     else:
         value = 2.0 * xi + 2.0 * eta * xi * (epochs - e0)
     if not math.isfinite(value):

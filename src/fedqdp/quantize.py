@@ -1,4 +1,5 @@
-"""Symmetric stochastic uniform quantization with per-tensor scales.
+"""Symmetric stochastic uniform quantization with per-tensor scales, and
+the bit cost of the resulting message.
 
 A tensor is scaled by s = (2^(b-1) - 1) / max|x|, stochastically rounded to
 integer codes, and clipped into the signed b-bit range. Rounding is down
@@ -7,6 +8,11 @@ unbiased estimate of the scaled value. An all-zero tensor gets scale 1 so
 dequantization is always well defined. A whole ParamSet is quantized in
 one pass over its flat vector, and its codes are held in the narrowest
 signed integer type that fits the bit width.
+
+Wire format, as metered by comm_cost: per tensor, an 8-bit width tag
+(TAG_BITS), a 32-bit fp32 scale field (SCALE_BITS) and the tensor's codes
+at b bits each. The simulation encodes and decodes with the float64 scale,
+which the 32-bit field does not hold exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from fedqdp.models import Layout, ParamSet
 
 BITS_MIN = 2
 BITS_MAX = 32
+SCALE_BITS = 32
+TAG_BITS = 8
 
 
 def _check_bits(bits: int) -> int:
@@ -59,9 +67,10 @@ class QuantizedParamSet:
         if not (np.isfinite(self.scales).all() and (self.scales > 0).all()):
             raise ValueError(f"scales must be positive and finite, got {self.scales}")
 
-    @property
-    def num_elements(self) -> int:
-        return self.codes.size
+
+def comm_cost(q: QuantizedParamSet) -> int:
+    """Bits to transmit one quantized parameter message."""
+    return q.codes.size * q.bits + len(q.layout) * (SCALE_BITS + TAG_BITS)
 
 
 def scale_factor(alpha: float, bits: int) -> float:

@@ -27,7 +27,6 @@ from fedqdp.federation import (
     PartitionConfig,
     _row_blocks,
     aggregate,
-    broadcast_bits,
     client_update,
     comm_cost,
     evaluate,
@@ -48,7 +47,7 @@ from fedqdp.models import (
 )
 from fedqdp.privacy import DpConfig
 from fedqdp.quantize import dequantize_params, quantize_params
-from fedqdp.schedule import ScheduleConfig
+from fedqdp.schedule import ScheduleConfig, schedule_bits
 
 MODEL = ModelSpec("logistic", input_dim=2, num_classes=3)
 DATA = BlobsConfig(num_classes=3, input_dim=2, train_per_class=60, test_per_class=20, spread=0.25)
@@ -121,15 +120,19 @@ def test_select_clients_roughly_uniform():
 
 
 def test_broadcast_bits_static_and_dynamic():
-    static = ScheduleConfig(mode="static", bits=8)
-    assert broadcast_bits(static, 0, 10) == 8
-    dyn = ScheduleConfig(mode="dynamic", b_max=32, b_min=8)
-    cos = ScheduleConfig(mode="cosine", b_max=32, b_min=8)
-    for t in range(10):
-        # the downlink ignores importance even in dynamic mode
-        assert broadcast_bits(dyn, t, 10) == broadcast_bits(cos, t, 10)
-    assert broadcast_bits(cos, 0, 10) == 32
-    assert broadcast_bits(cos, 9, 10) == 8
+    """The broadcast width read back from each round's downlink: 3 messages
+    of 9 codes (2x3 logistic weights, 3 biases) at b bits plus 2 * 40
+    header bits."""
+
+    def widths(mode):
+        records = run_experiment(make_config(rounds=10, mode=mode, bits=8))
+        return [(r.downlink_bits // 3 - 80) / 9 for r in records]
+
+    assert widths("static") == [8] * 10
+    cosine = widths("cosine")
+    assert cosine[0] == 32 and cosine[-1] == 8
+    # the downlink ignores importance even in dynamic mode
+    assert widths("dynamic") == cosine
 
 
 # --- client update -----------------------------------------------------------
@@ -180,8 +183,8 @@ def test_client_update_tiny_epsilon_noise_dominates():
 
     nearly_noiseless = run(1e30)
     noisy = run(1e-6)
-    update_size = sum(np.abs(nearly_noiseless[k] - params0[k]).sum() for k in params0.names)
-    disturbance = sum(np.abs(noisy[k] - nearly_noiseless[k]).sum() for k in params0.names)
+    update_size = sum(np.abs(nearly_noiseless[k] - params0[k]).sum() for k in params0.layout.names)
+    disturbance = sum(np.abs(noisy[k] - nearly_noiseless[k]).sum() for k in params0.layout.names)
     assert disturbance > 10 * update_size
 
 
@@ -192,7 +195,7 @@ def test_client_update_dp_changes_result():
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
     plain = dequantize_params(client_update(dequantize_params(q_global), client, cfg_plain, 0, 20).params)
     noisy = dequantize_params(client_update(dequantize_params(q_global), client, cfg_dp, 0, 20).params)
-    assert any(not np.array_equal(plain[k], noisy[k]) for k in plain.names)
+    assert any(not np.array_equal(plain[k], noisy[k]) for k in plain.layout.names)
 
 
 # --- aggregation -------------------------------------------------------------
@@ -280,7 +283,7 @@ def test_bit_accounting_reconstructed_from_streams():
     train, _ = make_datasets(cfg.data, cfg.seed)
     parts = partition_dataset(train, cfg)
     params0 = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
-    b0 = broadcast_bits(cfg.schedule, 0, cfg.rounds)
+    b0 = schedule_bits(cfg.schedule, 0, cfg.rounds, nu=1.0)
     q_global = quantize_params(params0, b0, streams.substream(cfg.seed, streams.SERVER_ROUNDING, 0))
     expected_down = cfg.clients_per_round * comm_cost(q_global)
     assert records[0].downlink_bits == expected_down
@@ -461,7 +464,7 @@ def test_single_client_full_batch_matches_plain_sgd():
                 batch = order[s : s + cfg.batch_size]
                 _, grad = loss_and_grad(cfg.model, params, train.features[batch], train.labels[batch])
                 params = sgd_step(params, grad, cfg.eta)
-        for name in params.names:
+        for name in params.layout.names:
             assert np.max(np.abs(captured[t][name] - params[name])) < 1e-6
 
 

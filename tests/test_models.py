@@ -73,7 +73,7 @@ def test_paramset_arithmetic_and_conformability():
 
 def test_init_logistic_tensors():
     params = init_params(LOGISTIC, np.random.default_rng(0))
-    assert params.names == ("w", "b")
+    assert params.layout.names == ("w", "b")
     assert params["w"].shape == (3, 2)
     assert params["b"].shape == (3,)
     assert np.all(params["b"] == 0.0)
@@ -83,7 +83,7 @@ def test_init_logistic_tensors():
 
 def test_init_mlp_tensors():
     params = init_params(MLP, np.random.default_rng(0))
-    assert params.names == ("w1", "b1", "w2", "b2")
+    assert params.layout.names == ("w1", "b1", "w2", "b2")
     assert params["w1"].shape == (4, 3)
     assert params["b1"].shape == (4,)
     assert params["w2"].shape == (3, 4)
@@ -96,7 +96,7 @@ def test_init_mlp_tensors():
 def test_init_deterministic_and_roughly_centered():
     a = init_params(MLP, np.random.default_rng(7))
     b = init_params(MLP, np.random.default_rng(7))
-    for name in a.names:
+    for name in a.layout.names:
         assert np.array_equal(a[name], b[name])
     big = ModelSpec("logistic", input_dim=400, num_classes=10)
     w = init_params(big, np.random.default_rng(1))["w"]
@@ -128,18 +128,19 @@ def test_predict_takes_the_largest_logit():
 
 
 def _flatten(params):
-    return np.concatenate([v.ravel() for _, v in params.items()])
+    return np.concatenate([params[name].ravel() for name in params.layout.names])
 
 
 def _finite_difference_grad(spec, params, x, y, step=1e-5):
     """Central differences on the loss, one coordinate at a time."""
     grads = {}
-    for name, value in params.items():
+    for name in params.layout.names:
+        value = params[name]
         g = np.zeros_like(value)
         it = np.nditer(value, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            bumped = {k: v.copy() for k, v in params.items()}
+            bumped = {k: params[k].copy() for k in params.layout.names}
             bumped[name][idx] += step
             up, _ = loss_and_grad(spec, ParamSet(bumped), x, y)
             bumped[name][idx] -= 2 * step
@@ -168,7 +169,7 @@ def test_duplicating_samples_preserves_loss_and_grad():
     loss1, grad1 = loss_and_grad(MLP, params, x, y)
     loss2, grad2 = loss_and_grad(MLP, params, np.vstack([x, x]), np.concatenate([y, y]))
     assert abs(loss1 - loss2) < 1e-14
-    for name in grad1.names:
+    for name in grad1.layout.names:
         assert np.allclose(grad1[name], grad2[name], rtol=1e-13, atol=1e-16)
 
 
@@ -214,7 +215,7 @@ def test_forward_pass_equals_out_of_place_reference(kind, n):
     loss, grad = loss_and_grad(spec, params, x, y)
     ref_loss, ref_parts = _reference_loss_and_grad(spec, params, x, y)
     assert loss == ref_loss
-    for name, ref in zip(grad.names, ref_parts):
+    for name, ref in zip(grad.layout.names, ref_parts):
         assert np.array_equal(grad[name], ref), name
 
     assert np.array_equal(params.vector, vector_before)
@@ -230,7 +231,7 @@ def test_l1_norm_equals_per_tensor_sums():
     # at this size and seed one sum over the whole vector rounds differently
     spec = ModelSpec("mlp", input_dim=64, num_classes=10, hidden_dim=256)
     params = init_params(spec, np.random.default_rng(3))
-    tensors = [params[name] for name in params.names]
+    tensors = [params[name] for name in params.layout.names]
     assert l1_norm(params) == sum(np.abs(v).sum() for v in tensors)
 
 
@@ -291,7 +292,7 @@ def test_clip_bounds_norm_and_is_idempotent(seed, xi):
     once = clip_gradient_l1(g, xi)
     assert l1_norm(once) <= xi or l1_norm(g) <= xi
     twice = clip_gradient_l1(once, xi)
-    for name in once.names:
+    for name in once.layout.names:
         assert np.array_equal(once[name], twice[name])
 
 

@@ -139,6 +139,8 @@ def test_sensitivity_saturates_when_the_growth_power_overflows():
         (2.0, 0.5, 60, 2**60, 1.0),  # 1.0 + n rounds to 2^60, which 2^60 reaches
         (4.0, 1.0, 3, 124, 1.0),  # log(125) / log(5) rounds up past e0 = 3
         (0.983720759242336, 1.0, 53, 5840748715194042, 1.0),  # the log ratio gives 53, e0 is 54
+        (1e-310, 1e10, 5, 100, 100.0),  # 2 xi / (lam n) overflows, lam * eta = 1e-300
+        (1e-9, 1e6, 2, 1, 1e300),  # 2 xi / (lam n) overflows, bound 4.002e306
     ],
 )
 def test_sensitivity_and_e0_match_the_oracles_at_the_float_edges(lam, eta, epochs, n, xi):
@@ -150,6 +152,17 @@ def test_sensitivity_and_e0_match_the_oracles_at_the_float_edges(lam, eta, epoch
     else:
         with pytest.raises(ValueError, match="growth factor"):
             compute_e0(lam, eta, n)
+
+
+def test_sensitivity_tiny_lambda_meets_the_flat_limit():
+    """Below lambda_i of about 1e-308, 2 xi / (lambda_i n) overflows before
+    the growth term scales it down; the bound is still the flat limit."""
+    flat = 2.0 * 100.0 * 5 * 0.1 / 100
+    for lam in (1e-310, 1e-320, 5e-324):
+        assert abs(sensitivity(lam, 0.1, 5, 100, 100.0) - flat) <= 1e-12 * flat
+    # where the geometric expression stays finite it is what runs
+    geometric = (2.0 * 100.0 / (1e-307 * 100)) * float(np.expm1(5 * np.log1p(1e-307 * 0.1)))
+    assert sensitivity(1e-307, 0.1, 5, 100, 100.0) == geometric
 
 
 def test_sensitivity_validation():
@@ -271,8 +284,8 @@ def test_noise_scale_validation():
 def test_laplace_noise_zero_scale_is_exact_zero():
     like = ParamSet({"w": np.ones((3, 2)), "b": np.ones(3)})
     noise = laplace_noise(0.0, like, np.random.default_rng(0))
-    for _, v in noise.items():
-        assert np.all(v == 0.0)
+    for name in noise.layout.names:
+        assert np.all(noise[name] == 0.0)
 
 
 def test_laplace_noise_shapes_and_determinism():
@@ -281,7 +294,7 @@ def test_laplace_noise_shapes_and_determinism():
     b = laplace_noise(1.5, like, streams.substream(7, 6, 0, 1))
     c = laplace_noise(1.5, like, streams.substream(7, 6, 0, 2))
     assert a["w"].shape == (4, 3) and a["b"].shape == (4,)
-    for name in a.names:
+    for name in a.layout.names:
         assert np.array_equal(a[name], b[name])
     assert not np.array_equal(a["w"], c["w"])
 
@@ -300,7 +313,8 @@ def test_laplace_noise_equals_per_tensor_draws():
                      "b2": np.zeros(2)})
     noise = laplace_noise(0.7, like, np.random.default_rng(5))
     rng = np.random.default_rng(5)
-    for name, value in like.items():
+    for name in like.layout.names:
+        value = like[name]
         want = _laplace_from_uniform(rng.random(value.size) - 0.5, 0.7).reshape(value.shape)
         assert np.array_equal(noise[name], want)
 

@@ -1,5 +1,8 @@
-"""Quantizer: scales, stochastic rounding, roundtrip bounds, unbiasedness."""
+"""Quantizer: scales, stochastic rounding, roundtrip bounds, unbiasedness,
+and the bit cost of a message against a bit-packed encoding."""
 
+import math
+import struct
 import sys
 import warnings
 
@@ -13,6 +16,7 @@ from fedqdp.quantize import (
     QuantizedParamSet,
     _round_clip,
     code_dtype,
+    comm_cost,
     dequantize_params,
     quantize_params,
     scale_factor,
@@ -256,16 +260,16 @@ def test_quantize_params_preserves_order_and_scales():
     assert scales["w"] == 127.0 / 2.0
     assert scales["b"] == 127.0 / 0.25
     back = dequantize_params(q)
-    assert back.names == ("w", "b")
+    assert back.layout.names == ("w", "b")
     assert back["w"].shape == (1, 2)
-    for name, value in params.items():
-        assert np.max(np.abs(back[name] - value)) <= (1.0 + 1e-12) / scales[name]
+    for name in params.layout.names:
+        assert np.max(np.abs(back[name] - params[name])) <= (1.0 + 1e-12) / scales[name]
 
 
 def test_quantize_params_empty():
     q = quantize_params(ParamSet({}), 8, np.random.default_rng(0))
     assert q.layout.names == () and q.codes.size == 0 and q.scales.size == 0
-    assert dequantize_params(q).names == ()
+    assert dequantize_params(q).layout.names == ()
 
 
 def test_quantize_params_single_stream_is_order_sensitive():
@@ -292,15 +296,16 @@ def test_quantize_params_equals_per_tensor_quantize():
             q = quantize_params(params, bits, np.random.default_rng(12))
             rng = np.random.default_rng(12)
             ref_scales, ref_codes = [], []
-            for _, value in params.items():
-                s, codes = _reference_codes(value, bits, rng)
+            for name in params.layout.names:
+                s, codes = _reference_codes(params[name], bits, rng)
                 ref_scales.append(s)
                 ref_codes += codes
             assert q.scales.tolist() == ref_scales
             assert np.array_equal(q.codes, np.array(ref_codes, dtype=np.int64))
             back = dequantize_params(q)
             start = 0
-            for (name, value), s in zip(params.items(), ref_scales):
+            for name, s in zip(params.layout.names, ref_scales):
+                value = params[name]
                 ref = np.array(ref_codes[start : start + value.size], dtype=np.float64) / s
                 start += value.size
                 assert np.array_equal(back[name], ref.reshape(value.shape))
@@ -341,3 +346,60 @@ def test_quantized_param_set_checks_range_at_every_width():
         for value in beyond:
             with pytest.raises(ValueError, match="range"):
                 QuantizedParamSet(layout, np.array([0, value], dtype=dtype), scales, bits)
+
+
+# --- wire format -----------------------------------------------------------
+# A test-only bit packer for the message comm_cost meters: per tensor, an
+# 8-bit width tag, a 32-bit fp32 scale and the codes in b-bit two's
+# complement, concatenated and zero-padded to whole bytes.
+
+
+def pack_message(q: QuantizedParamSet) -> bytes:
+    fields, mask = [], (1 << q.bits) - 1
+    for (_, _, offset, size), scale in zip(q.layout.entries, q.scales.tolist()):
+        fields.append(format(q.bits, "08b"))
+        fields.append(format(struct.unpack(">I", struct.pack(">f", scale))[0], "032b"))
+        fields += [format(c & mask, f"0{q.bits}b") for c in q.codes[offset : offset + size].tolist()]
+    stream = "".join(fields)
+    stream += "0" * (-len(stream) % 8)
+    return int(stream, 2).to_bytes(len(stream) // 8, "big")
+
+
+def unpack_message(data: bytes, layout: Layout) -> tuple[list[int], list[int], int]:
+    """(codes in layout order, the width tag of each tensor, bits read)."""
+    stream = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
+    pos, codes, widths = 0, [], []
+    for _, _, _, size in layout.entries:
+        bits = int(stream[pos : pos + 8], 2)
+        widths.append(bits)
+        pos += 8 + 32  # the fp32 scale is not compared, see the test
+        for _ in range(size):
+            code = int(stream[pos : pos + bits], 2)
+            codes.append(code - (1 << bits) if code >> (bits - 1) else code)
+            pos += bits
+    assert stream[pos:] == "0" * (len(stream) - pos)
+    return codes, widths, pos
+
+
+def test_comm_cost_is_the_length_of_a_bit_packed_message():
+    """Packing each tensor as an 8-bit width tag, a 32-bit scale field and
+    b-bit two's-complement codes takes ceil(comm_cost / 8) bytes at every
+    width, and unpacking returns the codes and the width exactly. The
+    scales are not compared: the simulation encodes with float64 scales,
+    which the fp32 field does not hold exactly (ROADMAP item 6)."""
+    logistic = init_params(ModelSpec("logistic", input_dim=6, num_classes=4),
+                           np.random.default_rng(21))
+    mlp = init_params(ModelSpec("mlp", input_dim=6, num_classes=4, hidden_dim=9),
+                      np.random.default_rng(22))
+    rng = np.random.default_rng(23)
+    odd = ParamSet({"a": np.zeros(0), "b": rng.standard_normal(1), "c": rng.standard_normal((3, 5)),
+                    "d": np.zeros(7), "e": rng.standard_normal(7)})
+    for params in (logistic, mlp, odd):
+        for bits in range(2, 33):
+            q = quantize_params(params, bits, np.random.default_rng(bits))
+            packed = pack_message(q)
+            assert len(packed) == math.ceil(comm_cost(q) / 8)
+            codes, widths, read = unpack_message(packed, q.layout)
+            assert read == comm_cost(q)
+            assert widths == [bits] * len(q.layout)
+            assert codes == q.codes.tolist()
