@@ -1,10 +1,11 @@
 """Federated averaging over quantized links with exact bit accounting.
 
-Each round the server picks a client subset, broadcasts quantized global
-parameters, clients train locally (optionally clipping gradients and adding
-Laplace noise before upload), quantize at their scheduled bit width, and
-the server averages the dequantized uploads weighted by dataset size.
-Every message is metered by quantize.comm_cost.
+Each round the server picks a client subset and decides the broadcast
+width and every upload width, broadcasts quantized global parameters,
+clients train locally (optionally clipping gradients and adding Laplace
+noise before upload) and quantize at the width they are handed, and the
+server averages the dequantized uploads weighted by dataset size. Every
+message is metered by quantize.comm_cost.
 """
 
 from __future__ import annotations
@@ -136,12 +137,6 @@ class ExperimentConfig:
                 raise ValueError(f"{samples} training samples cannot cover {self.num_clients} clients")
 
 
-@dataclass(frozen=True, eq=False)
-class ClientUpdate:
-    params: QuantizedParamSet
-    dataset_size: int
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     """One row of run metrics. Accuracies are None on non-evaluation rounds
@@ -219,10 +214,11 @@ def client_update(
     client: ClientData,
     cfg: ExperimentConfig,
     t: int,
-    max_dataset_size: int,
-) -> ClientUpdate:
+    bits: int,
+) -> QuantizedParamSet:
     """One client's round: local SGD from the dequantized broadcast, then
-    optional Laplace perturbation, then quantized upload.
+    optional Laplace perturbation, then the upload quantized at the given
+    width, which the round loop decided.
 
     The sample order is shuffled once per round and reused for every local
     epoch, so an epoch pair visits identical batches and their gradient
@@ -256,28 +252,23 @@ def client_update(
             scale, params, streams.substream(cfg.seed, streams.CLIENT_NOISE, t, client.client_id)
         )
 
-    nu = None
-    if cfg.schedule.mode == "dynamic":
-        nu = client_importance(client.label_counts, max_dataset_size, cfg.schedule.lambda_h)
-    bits = schedule_bits(cfg.schedule, t, cfg.rounds, nu)
-    q = quantize_params(
+    return quantize_params(
         params, bits, streams.substream(cfg.seed, streams.CLIENT_ROUNDING, t, client.client_id)
     )
-    return ClientUpdate(params=q, dataset_size=n_i)
 
 
-def aggregate(updates: list[ClientUpdate]) -> ParamSet:
-    """Dataset-size weighted average of dequantized updates."""
-    if not updates:
-        raise ValueError("cannot aggregate zero updates")
-    total = float(sum(u.dataset_size for u in updates))
-    first = dequantize_params(updates[0].params)
-    acc = first.vector * (updates[0].dataset_size / total)
-    for u in updates[1:]:
-        decoded = dequantize_params(u.params)
+def aggregate(uploads: list[QuantizedParamSet], sizes: list[int]) -> ParamSet:
+    """Average of the dequantized uploads, weighted by the senders' dataset sizes."""
+    if not uploads:
+        raise ValueError("cannot aggregate zero uploads")
+    total = float(sum(sizes))
+    first = dequantize_params(uploads[0])
+    acc = first.vector * (sizes[0] / total)
+    for q, n in zip(uploads[1:], sizes[1:], strict=True):
+        decoded = dequantize_params(q)
         if decoded.layout != first.layout:
             raise ShapeMismatchError(f"{decoded!r} and {first!r} differ in tensor names or shapes")
-        acc += decoded.vector * (u.dataset_size / total)
+        acc += decoded.vector * (n / total)
     return ParamSet.from_vector(first.layout, acc)
 
 
@@ -326,28 +317,38 @@ def _train_round(
 ) -> tuple[ParamSet, RoundRecord]:
     """One round up to aggregation: broadcast, local training, upload.
 
-    Returns the aggregated parameters and the round's record, with both
-    accuracies None. The broadcast and the uploads are locals, so they are
-    freed on return, before the caller evaluates.
+    Every width of the round is decided here, before any client trains:
+    the broadcast at the schedule's full weight, and each upload damped,
+    in dynamic mode, by its client's importance (label entropy mixed with
+    the dataset size relative to the round's largest). Returns the
+    aggregated parameters and the round's record, with both accuracies
+    None. The broadcast and the uploads are locals, so they are freed on
+    return, before the caller evaluates.
     """
     ids = select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)
-    # the broadcast goes at full weight: the dynamic mode damps uploads only
-    b_t = schedule_bits(cfg.schedule, t, cfg.rounds, nu=1.0)
+    selected = [clients[i] for i in ids]
+    sched = cfg.schedule
+    b_t = schedule_bits(sched, t, cfg.rounds)
+    if sched.mode == "dynamic":
+        n_max = max(c.size for c in selected)
+        nus = [client_importance(c.label_counts, n_max, sched.lambda_h) for c in selected]
+    else:
+        nus = [1.0] * len(selected)
+    upload_bits = [schedule_bits(sched, t, cfg.rounds, nu) for nu in nus]
+
     q_global = quantize_params(params, b_t, streams.substream(cfg.seed, streams.SERVER_ROUNDING, t))
     # every client decodes the same broadcast; ParamSets are read-only,
     # so one decoded copy is shared
     global_params = dequantize_params(q_global)
-    selected = [clients[i] for i in ids]
-    n_max = max(c.size for c in selected)
-    updates = [client_update(global_params, c, cfg, t, n_max) for c in selected]
+    uploads = [client_update(global_params, c, cfg, t, b) for c, b in zip(selected, upload_bits)]
     record = RoundRecord(
         t=t,
         selected=tuple(int(i) for i in ids),
         downlink_bits=cfg.clients_per_round * comm_cost(q_global),
-        uplink_bits=sum(comm_cost(u.params) for u in updates),
-        mean_bits=round(float(np.mean([u.params.bits for u in updates])), 6),
+        uplink_bits=sum(comm_cost(q) for q in uploads),
+        mean_bits=round(float(np.mean(upload_bits)), 6),
     )
-    return aggregate(updates), record
+    return aggregate(uploads, [c.size for c in selected]), record
 
 
 def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:

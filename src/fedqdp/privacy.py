@@ -38,6 +38,10 @@ class DpConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not np.isfinite(self.xi) or self.xi <= 0:
             raise ValueError(f"xi must be positive and finite, got {self.xi}")
+        # the saturated sensitivity is at least 2 xi, so a run whose client
+        # saturates could not report its bound
+        if not math.isfinite(2.0 * self.xi):
+            raise ValueError(f"xi={self.xi} overflows: 2 xi is past the float range")
 
 
 @dataclass
@@ -93,16 +97,23 @@ def sensitivity(lambda_i: float, eta: float, local_epochs: int, dataset_size: in
     saturated bound of 2 xi plus a linear tail once growth has crossed
     1 + n. A growth factor that rounds to 1 never crosses. The middle
     branch uses expm1/log1p so it meets the lambda_i = 0 branch
-    continuously; where a tiny lambda_i overflows 2 xi / (lambda_i n), it
-    is evaluated from the flat bound instead. A bound past the float range
-    raises ValueError naming the inputs.
+    continuously; where a tiny lambda_i or a xi near the float maximum
+    overflows 2 xi / (lambda_i n), it is evaluated from the flat bound
+    instead, and a flat bound whose 2 xi E overflows takes xi last. A bound
+    past the float range raises ValueError naming the inputs.
     """
     if not np.isfinite(lambda_i) or lambda_i < 0:
         raise ValueError(f"lambda_i must be non-negative and finite, got {lambda_i}")
     lam, epochs, n = lambda_i, local_epochs, dataset_size
     e0 = compute_e0(lam, eta, n) if 1.0 + lam * eta > 1.0 else math.inf
-    if lam == 0.0:
+
+    def flat() -> float:
         value = 2.0 * xi * epochs * eta / n
+        # 2 xi E can overflow ahead of eta / n although the bound does not
+        return value if math.isfinite(value) else xi * (2.0 * epochs * eta / n)
+
+    if lam == 0.0:
+        value = flat()
     elif epochs < e0:
         value = (2.0 * xi / (lam * n)) * float(np.expm1(epochs * np.log1p(lam * eta)))
         if not math.isfinite(value):
@@ -111,7 +122,7 @@ def sensitivity(lambda_i: float, eta: float, local_epochs: int, dataset_size: in
             # x = lambda_i eta, a ratio that rounds to 1 once x is subnormal.
             x = lam * eta
             ratio = math.expm1(epochs * math.log1p(x)) / (epochs * x) if x >= sys.float_info.min else 1.0
-            value = 2.0 * xi * epochs * eta / n * ratio
+            value = flat() * ratio
     else:
         value = 2.0 * xi + 2.0 * eta * xi * (epochs - e0)
     if not math.isfinite(value):

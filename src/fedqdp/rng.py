@@ -27,16 +27,4 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     entropy = [int(seed)] + [int(p) for p in path]
     if any(e < 0 for e in entropy):
         raise ValueError(f"stream path entries must be non-negative, got {entropy}")
-    # the little-endian 32-bit words SeedSequence would split each entry
-    # into (0 gives one zero word), handed over as one array so it skips
-    # its per-entry coercion
-    words = []
-    for e in entropy:
-        words.append(e & 0xFFFFFFFF)
-        e >>= 32
-        while e:
-            words.append(e & 0xFFFFFFFF)
-            e >>= 32
-    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    # the Generator default_rng builds, without its argument dispatch
-    return np.random.Generator(np.random.PCG64(seq))
+    return np.random.default_rng(entropy)

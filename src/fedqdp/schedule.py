@@ -71,30 +71,28 @@ def normalized_entropy(label_counts: np.ndarray) -> float:
     return float(min(1.0, max(0.0, h)))
 
 
-def client_importance(label_counts: np.ndarray, max_dataset_size: int, lambda_h: float) -> float:
+def client_importance(label_counts: np.ndarray, n_max: int, lambda_h: float) -> float:
     """Mix of label entropy and relative dataset size, in [0, 1].
 
-    The dataset size is the sum of label_counts and the class count its
-    length. lambda_h weights the entropy term; 1 - lambda_h weights
-    dataset_size / max_dataset_size.
+    The dataset size n is the sum of label_counts and the class count its
+    length. lambda_h weights the entropy term; 1 - lambda_h weights n / n_max,
+    n_max being the largest dataset size among the round's clients.
     """
     counts = np.asarray(label_counts)
-    dataset_size = int(counts.sum())
     entropy = normalized_entropy(counts)
-    return lambda_h * entropy + (1.0 - lambda_h) * (dataset_size / max_dataset_size)
+    return lambda_h * entropy + (1.0 - lambda_h) * (int(counts.sum()) / n_max)
 
 
-def schedule_bits(cfg: ScheduleConfig, t: int, rounds: int, nu: float | None = None) -> int:
+def schedule_bits(cfg: ScheduleConfig, t: int, rounds: int, nu: float = 1.0) -> int:
     """Integer bit width for round t of a run of the given number of rounds.
 
     static ignores t; cosine anneals with full weight; dynamic damps the
-    annealed term by the client importance nu, which it requires.
+    annealed term by the client importance nu. nu defaults to 1.0, the
+    full weight the broadcast goes at, where dynamic equals cosine.
     """
     if cfg.mode == "static":
         return cfg.bits
     if cfg.mode == "cosine":
         nu = 1.0
-    elif nu is None:
-        raise ValueError("dynamic schedule requires the client importance nu")
     horizon = max(rounds - 1, 1)
     return round_bits(cosine_bits(t, horizon, cfg.b_max, cfg.b_min, nu), cfg.b_min, cfg.b_max)

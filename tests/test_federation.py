@@ -1,5 +1,6 @@
 """Protocol orchestration: selection, client updates, aggregation, accounting."""
 
+import math
 import os
 import struct
 import subprocess
@@ -21,7 +22,6 @@ from fedqdp.federation import (
     EVAL_ROWS,
     BlobsConfig,
     ClientData,
-    ClientUpdate,
     ExperimentConfig,
     IdxConfig,
     PartitionConfig,
@@ -139,24 +139,29 @@ def test_broadcast_bits_static_and_dynamic():
 
 
 def test_client_update_bits_and_size():
-    cfg = make_config(rounds=10, mode="static", bits=8)
+    # the upload goes at exactly the width handed in, whatever the schedule
+    # would give: 9 codes (2x3 weights, 3 biases) and two 40-bit headers
     client = make_client(n=20)
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
-    update = client_update(dequantize_params(q_global), client, cfg, t=0, max_dataset_size=30)
-    assert update.dataset_size == 20
-    assert update.params.bits == 8
+    global_params = dequantize_params(q_global)
+    for mode in ("static", "cosine", "dynamic"):
+        cfg = make_config(rounds=10, mode=mode, bits=8)
+        for bits in range(2, 33):
+            upload = client_update(global_params, client, cfg, 5, bits)
+            assert upload.bits == bits
+            assert comm_cost(upload) == 9 * bits + 2 * 40
 
 
 def test_client_update_deterministic():
     cfg = make_config(rounds=10)
     client = make_client(n=20)
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
-    a = client_update(dequantize_params(q_global), client, cfg, t=3, max_dataset_size=30)
-    b = client_update(dequantize_params(q_global), client, cfg, t=3, max_dataset_size=30)
-    assert np.array_equal(a.params.codes, b.params.codes)
-    assert np.array_equal(a.params.scales, b.params.scales)
-    c = client_update(dequantize_params(q_global), client, cfg, t=4, max_dataset_size=30)
-    assert not np.array_equal(a.params.codes, c.params.codes)
+    a = client_update(dequantize_params(q_global), client, cfg, t=3, bits=32)
+    b = client_update(dequantize_params(q_global), client, cfg, t=3, bits=32)
+    assert np.array_equal(a.codes, b.codes)
+    assert np.array_equal(a.scales, b.scales)
+    c = client_update(dequantize_params(q_global), client, cfg, t=4, bits=32)
+    assert not np.array_equal(a.codes, c.codes)
 
 
 def test_client_update_trains_on_local_data():
@@ -164,8 +169,7 @@ def test_client_update_trains_on_local_data():
     client = make_client(n=40)
     params0 = init_params(MODEL, np.random.default_rng(0))
     q_global = quantize_params(params0, 32, np.random.default_rng(1))
-    update = client_update(dequantize_params(q_global), client, cfg, t=0, max_dataset_size=40)
-    trained = dequantize_params(update.params)
+    trained = dequantize_params(client_update(dequantize_params(q_global), client, cfg, t=0, bits=32))
     x, y = client.dataset.features[client.indices], client.dataset.labels[client.indices]
     loss_before, _ = loss_and_grad(MODEL, params0, x, y)
     loss_after, _ = loss_and_grad(MODEL, trained, x, y)
@@ -179,7 +183,7 @@ def test_client_update_tiny_epsilon_noise_dominates():
 
     def run(eps):
         cfg = make_config(rounds=10, mode="static", bits=32, dp=DpConfig(epsilon=eps, xi=100.0))
-        return dequantize_params(client_update(dequantize_params(q_global), client, cfg, 0, 20).params)
+        return dequantize_params(client_update(dequantize_params(q_global), client, cfg, 0, 32))
 
     nearly_noiseless = run(1e30)
     noisy = run(1e-6)
@@ -193,52 +197,49 @@ def test_client_update_dp_changes_result():
     cfg_dp = make_config(rounds=10, mode="static", bits=32, dp=DpConfig(epsilon=10.0, xi=100.0))
     client = make_client(n=20)
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
-    plain = dequantize_params(client_update(dequantize_params(q_global), client, cfg_plain, 0, 20).params)
-    noisy = dequantize_params(client_update(dequantize_params(q_global), client, cfg_dp, 0, 20).params)
+    plain = dequantize_params(client_update(dequantize_params(q_global), client, cfg_plain, 0, 32))
+    noisy = dequantize_params(client_update(dequantize_params(q_global), client, cfg_dp, 0, 32))
     assert any(not np.array_equal(plain[k], noisy[k]) for k in plain.layout.names)
 
 
 # --- aggregation -------------------------------------------------------------
 
 
-def _constant_update(value, n, bits=32):
+def _constant_upload(value, bits=32):
     """Constant tensors hit the scale exactly, so dequantization is exact."""
     params = ParamSet({"w": np.full((2, 2), value)})
-    q = quantize_params(params, bits, np.random.default_rng(0))
-    return ClientUpdate(params=q, dataset_size=n)
+    return quantize_params(params, bits, np.random.default_rng(0))
 
 
 def test_aggregate_weights_by_dataset_size():
-    updates = [_constant_update(1.0, 1), _constant_update(3.0, 3)]
-    out = aggregate(updates)
+    out = aggregate([_constant_upload(1.0), _constant_upload(3.0)], [1, 3])
     assert np.allclose(out["w"], 2.5, rtol=1e-15)  # (1*1 + 3*3) / 4
 
 
 def test_aggregate_single_update_passthrough():
-    update = _constant_update(0.75, 5)
-    out = aggregate([update])
+    out = aggregate([_constant_upload(0.75)], [5])
     assert np.allclose(out["w"], 0.75, rtol=1e-15)
 
 
 def test_aggregate_permutation_invariant_to_ulp():
     rng = np.random.default_rng(0)
-    updates = []
-    for n in (3, 7, 11, 2, 9):
-        params = ParamSet({"w": rng.standard_normal((4, 3))})
-        updates.append(ClientUpdate(quantize_params(params, 32, np.random.default_rng(n)), n))
-    a = aggregate(updates)
-    b = aggregate(updates[::-1])
+    sizes = [3, 7, 11, 2, 9]
+    uploads = [quantize_params(ParamSet({"w": rng.standard_normal((4, 3))}), 32,
+                               np.random.default_rng(n)) for n in sizes]
+    a = aggregate(uploads, sizes)
+    b = aggregate(uploads[::-1], sizes[::-1])
     assert np.allclose(a["w"], b["w"], rtol=1e-13, atol=1e-300)
 
 
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
-        aggregate([])
+        aggregate([], [])
+    with pytest.raises(ValueError):
+        aggregate([_constant_upload(1.0), _constant_upload(2.0)], [1])
     other = ParamSet({"v": np.ones((2, 2))})
-    mixed = [_constant_update(1.0, 1),
-             ClientUpdate(quantize_params(other, 8, np.random.default_rng(0)), 1)]
+    mixed = [_constant_upload(1.0), quantize_params(other, 8, np.random.default_rng(0))]
     with pytest.raises(ShapeMismatchError, match="differ in tensor names or shapes"):
-        aggregate(mixed)
+        aggregate(mixed, [1, 1])
 
 
 # --- run_experiment ----------------------------------------------------------
@@ -283,14 +284,13 @@ def test_bit_accounting_reconstructed_from_streams():
     train, _ = make_datasets(cfg.data, cfg.seed)
     parts = partition_dataset(train, cfg)
     params0 = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
-    b0 = schedule_bits(cfg.schedule, 0, cfg.rounds, nu=1.0)
+    b0 = schedule_bits(cfg.schedule, 0, cfg.rounds)
     q_global = quantize_params(params0, b0, streams.substream(cfg.seed, streams.SERVER_ROUNDING, 0))
     expected_down = cfg.clients_per_round * comm_cost(q_global)
     assert records[0].downlink_bits == expected_down
 
     ids = select_clients(cfg.num_clients, cfg.clients_per_round, 0, cfg.seed)
     assert records[0].selected == tuple(int(i) for i in ids)
-    n_max = max(parts[i].size for i in ids)
     expected_up = 0
     for i in ids:
         client = ClientData(
@@ -299,9 +299,33 @@ def test_bit_accounting_reconstructed_from_streams():
             indices=parts[i],
             label_counts=label_histogram(train, parts[i]),
         )
-        update = client_update(dequantize_params(q_global), client, cfg, 0, n_max)
-        expected_up += comm_cost(update.params)
+        upload = client_update(dequantize_params(q_global), client, cfg, 0, b0)
+        expected_up += comm_cost(upload)
     assert records[0].uplink_bits == expected_up
+
+    # dynamic mode: every upload width from an importance written out by
+    # hand, lambda_h * entropy / log2 C + (1 - lambda_h) * n_i / n_max with
+    # n_max over the round's clients, damping the cosine term of 32 -> 8
+    cfg = make_config(rounds=3, mode="dynamic")
+    parts = partition_dataset(train, cfg)
+    lam_h = cfg.schedule.lambda_h
+    damped = 0
+    for r in run_experiment(cfg):
+        n_max = max(parts[i].size for i in r.selected)
+        widths = []
+        for i in r.selected:
+            labels = train.labels[parts[i]]
+            p = np.bincount(labels) / labels.size
+            p = p[p > 0]
+            entropy = float(-(p * np.log2(p)).sum()) / math.log2(3)
+            nu = lam_h * entropy + (1.0 - lam_h) * parts[i].size / n_max
+            b = 8 + nu * (32 - 8) * (1.0 + math.cos(math.pi * r.t / 2)) / 2
+            widths.append(min(32, max(8, math.floor(b + 0.5))))
+        # 9 codes (2x3 weights, 3 biases) and two 40-bit tensor headers each
+        assert r.uplink_bits == sum(9 * b + 2 * 40 for b in widths)
+        assert r.mean_bits == round(sum(widths) / len(widths), 6)
+        damped += sum(b < 32 for b in widths) if r.t == 0 else 0
+    assert damped > 0
 
 
 def test_hook_sees_round_progression():

@@ -5,14 +5,19 @@ only for a change that is meant to alter outputs, and say so in CHANGES.md.
 The shipped configs use the logistic model and the Dirichlet partition; the
 inline MLP configs below pin the MLP paths (with DP and the dynamic
 schedule, and with the power-law partition and many clients) at 20 rounds.
+All four are checked again under OpenBLAS's generic x86 kernels.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fedqdp
 from fedqdp.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -93,3 +98,34 @@ def test_mlp_config_metrics_digest(name, tmp_path):
     config_path = tmp_path / f"{name}.json"
     config_path.write_text(json.dumps(MLP_CONFIGS[name]))
     assert _metrics_digest(config_path, tmp_path / name) == MLP_GOLDEN[name]
+
+
+def test_digests_hold_under_the_generic_blas_kernel(tmp_path):
+    """The four digests again, in a child process whose OpenBLAS is told to
+    use its generic x86 kernels (core Katmai) instead of the ones it picks
+    for this CPU; only the child's environment is changed."""
+    paths = {name: str(CONFIGS / f"{name}.json") for name in GOLDEN}
+    for name, cfg in MLP_CONFIGS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(cfg))
+    code = (
+        "import hashlib, json, sys\n"
+        "from pathlib import Path\n"
+        "from fedqdp.cli import main\n"
+        "digests = {}\n"
+        "for name, path in json.loads(sys.argv[1]).items():\n"
+        "    out = Path(sys.argv[2]) / name\n"
+        "    assert main(['run', '--config', path, '--out', str(out)]) == 0\n"
+        "    digests[name] = hashlib.sha256((out / 'metrics.csv').read_bytes()).hexdigest()\n"
+        "print(json.dumps(digests))\n"
+    )
+    package_root = str(Path(fedqdp.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", OPENBLAS_VERBOSE="2",
+               PYTHONPATH=os.pathsep.join([package_root, inherited]) if inherited else package_root)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(paths), str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # OPENBLAS_VERBOSE=2 names the core in use: proof the override took
+    assert "Core: Katmai" in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {**GOLDEN, **MLP_GOLDEN}

@@ -1,6 +1,7 @@
 """Privacy: sensitivity branches, threshold epoch, Laplace mechanism."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,10 @@ def test_dp_config_validation():
         DpConfig(epsilon=0.0, xi=1.0)
     with pytest.raises(ValueError):
         DpConfig(epsilon=1.0, xi=-1.0)
+    # every saturated bound is at least 2 xi, which must stay finite
+    DpConfig(epsilon=1.0, xi=sys.float_info.max / 2)
+    with pytest.raises(ValueError, match=r"xi=1e\+308 overflows"):
+        DpConfig(epsilon=1.0, xi=1e308)
 
 
 # --- threshold epoch -------------------------------------------------------
@@ -170,10 +175,20 @@ def test_sensitivity_validation():
         sensitivity(-1.0, 0.1, 5, 100, 100.0)
     with pytest.raises(ValueError, match="lambda_i"):
         sensitivity(np.inf, 0.1, 5, 100, 100.0)
-    # a bound past the float range, in each regime: flat, geometric, saturated
-    for lam, eta, epochs, n in ((0.0, 0.1, 5, 1), (0.1, 0.1, 2, 100), (1e6, 10.0, 10, 100)):
-        with pytest.raises(ValueError, match=r"sensitivity overflows at eta=.*, xi=1e\+308"):
-            sensitivity(lam, eta, epochs, n, 1e308)
+    # a bound past the float range: saturated, 2 xi alone is past it
+    with pytest.raises(ValueError, match=r"sensitivity overflows at eta=.*, xi=1e\+308"):
+        sensitivity(1e6, 10.0, 10, 100, 1e308)
+
+
+def test_sensitivity_near_the_float_maximum_is_finite():
+    """2 xi overflows for xi = 1e308, and 2 xi E for xi = 1e307 and E = 100,
+    but flat and geometric bounds below the float maximum are returned."""
+    # flat: 2 * 1e308 * 5 * 0.1 / 1 and 2 * 1e307 * 100 * 0.01 / 1
+    assert abs(sensitivity(0.0, 0.1, 5, 1, 1e308) - 1e308) <= 1e-12 * 1e308
+    assert abs(sensitivity(0.0, 0.01, 100, 1, 1e307) - 2e307) <= 1e-12 * 2e307
+    # geometric: 2 * 1e308 / (0.1 * 100) * (1.01^2 - 1) = 2e307 * 0.0201
+    want = 4.02e305
+    assert abs(sensitivity(0.1, 0.1, 2, 100, 1e308) - want) <= 1e-12 * want
 
 
 # --- smoothness estimate ---------------------------------------------------

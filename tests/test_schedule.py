@@ -148,7 +148,11 @@ def test_schedule_bits_dynamic_never_exceeds_cosine():
         assert schedule_bits(dyn, t, 50, nu) >= 8
 
 
-def test_schedule_bits_dynamic_requires_importance():
-    cfg = ScheduleConfig(mode="dynamic", b_max=32, b_min=8)
-    with pytest.raises(ValueError):
-        schedule_bits(cfg, 0, 10)
+def test_schedule_bits_dynamic_without_importance_equals_cosine():
+    # nu defaults to the broadcast's full weight
+    dyn = ScheduleConfig(mode="dynamic", b_max=32, b_min=4)
+    cos = ScheduleConfig(mode="cosine", b_max=32, b_min=4)
+    widths = [schedule_bits(dyn, t, 40) for t in range(40)]
+    assert widths == [schedule_bits(cos, t, 40) for t in range(40)]
+    assert widths == [schedule_bits(dyn, t, 40, 1.0) for t in range(40)]
+    assert widths[0] == 32 and widths[-1] == 4
