@@ -1,8 +1,8 @@
 """Command line interface: run, compare, sweep.
 
 Output directories default to $FEDQDP_OUT, falling back to ./runs. A run
-writes metrics.csv (or .jsonl) plus manifest.json; a sweep writes one
-subdirectory per grid cell and a summary.csv.
+writes metrics.csv plus manifest.json; a sweep writes one subdirectory per
+grid cell and a summary.csv.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _execute(raw: dict, out_dir: Path, fmt: str) -> dict:
+def _execute(raw: dict, out_dir: Path) -> dict:
     """Run one configured experiment and write metrics + manifest."""
     cfg = parse_config_dict(raw)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _now()
     records = run_experiment(cfg)
-    metrics_path = out_dir / f"metrics.{fmt}"
+    metrics_path = out_dir / "metrics.csv"
     write_records(records, metrics_path)
     manifest = RunManifest(
         config=raw,
@@ -74,7 +74,7 @@ def _cmd_run(args) -> int:
     raw = load_config_dict(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
-    summary = _execute(raw, Path(args.out or _default_out()), args.format)
+    summary = _execute(raw, Path(args.out or _default_out()))
     print(f"rounds: {summary['rounds']}")
     print(f"total bits (down + up): {summary['total_bits']}")
     if summary["best_test_acc"] is not None:
@@ -137,7 +137,7 @@ def _cmd_sweep(args) -> int:
     rows = [["cell", *keys, "total_bits", "best_test_acc", "best_round"]]
     for i, (overrides, cell_raw) in enumerate(cells):
         cell_dir = out_root / f"cell_{i:03d}"
-        summary = _execute(cell_raw, cell_dir, args.format)
+        summary = _execute(cell_raw, cell_dir)
         rows.append(
             [
                 cell_dir.name,
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to JSON config")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="output directory (default $FEDQDP_OUT or ./runs)")
-    run_p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     run_p.set_defaults(func=_cmd_run)
 
     cmp_p = sub.add_parser("compare", help="compare two exported metrics files")
@@ -180,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--grid", required=True, help="JSON file or inline JSON: dotted key -> list")
     sweep_p.add_argument("--out", default=None)
-    sweep_p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     sweep_p.set_defaults(func=_cmd_sweep)
     return parser
 

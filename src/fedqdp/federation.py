@@ -318,12 +318,12 @@ def _train_round(
     """One round up to aggregation: broadcast, local training, upload.
 
     Every width of the round is decided here, before any client trains:
-    the broadcast at the schedule's full weight, and each upload damped,
-    in dynamic mode, by its client's importance (label entropy mixed with
-    the dataset size relative to the round's largest). Returns the
-    aggregated parameters and the round's record, with both accuracies
-    None. The broadcast and the uploads are locals, so they are freed on
-    return, before the caller evaluates.
+    the broadcast at the schedule's full weight, b_t. Every upload goes at
+    b_t too, except in dynamic mode, where each is damped by its client's
+    importance (label entropy mixed with the dataset size relative to the
+    round's largest). Returns the aggregated parameters and the round's
+    record, with both accuracies None. The broadcast and the uploads are
+    locals, so they are freed on return, before the caller evaluates.
     """
     ids = select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)
     selected = [clients[i] for i in ids]
@@ -332,9 +332,9 @@ def _train_round(
     if sched.mode == "dynamic":
         n_max = max(c.size for c in selected)
         nus = [client_importance(c.label_counts, n_max, sched.lambda_h) for c in selected]
+        upload_bits = [schedule_bits(sched, t, cfg.rounds, nu) for nu in nus]
     else:
-        nus = [1.0] * len(selected)
-    upload_bits = [schedule_bits(sched, t, cfg.rounds, nu) for nu in nus]
+        upload_bits = [b_t] * len(selected)
 
     q_global = quantize_params(params, b_t, streams.substream(cfg.seed, streams.SERVER_ROUNDING, t))
     # every client decodes the same broadcast; ParamSets are read-only,

@@ -1,9 +1,8 @@
 """Metrics export, run manifests, and run comparison.
 
-Both export formats carry the same columns in the same order:
-t, downlink_bits, uplink_bits, mean_bits, test_acc, train_acc. Accuracies
-are blank (csv) or null (jsonl) on rounds without evaluation, otherwise
-fixed to six decimals.
+Metrics are exported as csv with the columns t, downlink_bits,
+uplink_bits, mean_bits, test_acc, train_acc, in that order. Accuracies
+are blank on rounds without evaluation, otherwise fixed to six decimals.
 """
 
 from __future__ import annotations
@@ -48,22 +47,22 @@ def _atomic_write(path: str | Path, newline: str | None = None):
         tmp.unlink(missing_ok=True)
 
 
-def write_records(records: list[RoundRecord], path: str | Path) -> None:
-    """Write csv or jsonl depending on the file suffix, atomically."""
+def _csv_path(path: str | Path) -> Path:
     path = Path(path)
-    rows = [record_to_row(r) for r in records]
-    if path.suffix == ".csv":
-        with _atomic_write(path, newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(COLUMNS)
-            for row in rows:
-                writer.writerow([_format_cell(k, row[k]) for k in COLUMNS])
-    elif path.suffix == ".jsonl":
-        with _atomic_write(path) as f:
-            for row in rows:
-                f.write(json.dumps(row) + "\n")
-    else:
-        raise ValueError(f"unsupported metrics format {path.suffix!r}, use .csv or .jsonl")
+    if path.suffix != ".csv":
+        raise ValueError(f"{path}: unsupported metrics format {path.suffix!r}, use .csv")
+    return path
+
+
+def write_records(records: list[RoundRecord], path: str | Path) -> None:
+    """Write the records as csv, atomically."""
+    path = _csv_path(path)
+    with _atomic_write(path, newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(COLUMNS)
+        for record in records:
+            row = record_to_row(record)
+            writer.writerow([_format_cell(k, row[k]) for k in COLUMNS])
 
 
 def _parse_cell(key: str, cell: str):
@@ -78,19 +77,18 @@ def _parse_cell(key: str, cell: str):
 
 
 def _check_row(row: dict, where: str) -> dict:
-    """Refuse a row whose values do not have their column's type: an int
-    for t and the bit columns, a number for mean_bits, a number or null for
-    the accuracies. Bools are not numbers here. Every number must be finite
-    and non-negative."""
+    """Refuse a parsed row with a cell that is not of its column's type:
+    an integer for t and the bit columns, a number for mean_bits, a number
+    or blank for the accuracies. Every number must be finite and
+    non-negative."""
     for key in COLUMNS:
         value = row[key]
         if value is None and key in _ACC_COLUMNS:
             continue
-        kinds = int if key in _INT_COLUMNS else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        if not isinstance(value, (int, float)):
             need = "an integer" if key in _INT_COLUMNS else "a number"
             if key in _ACC_COLUMNS:
-                need += " or null"
+                need += " or blank"
             raise ValueError(f"{where}: {key} must be {need}, got {value!r}")
         # false for nan as well as for negative and infinite values
         if not 0 <= value < float("inf"):
@@ -99,43 +97,26 @@ def _check_row(row: dict, where: str) -> dict:
 
 
 def read_records(path: str | Path) -> list[dict]:
-    """Parse an exported metrics file back into row dicts.
+    """Parse an exported metrics csv back into row dicts.
 
     Numbers come back as int/float and missing accuracies as None, so a
-    write/read/write cycle is byte-identical. A csv row without exactly one
-    cell per column, a jsonl line that is not an object with exactly the
-    columns as keys, or a value of the wrong type, negative or not finite
+    write/read/write cycle is byte-identical. A row without exactly one
+    cell per column, or a value of the wrong type, negative or not finite
     raises ValueError naming the file and line.
     """
-    path = Path(path)
+    path = _csv_path(path)
     rows = []
-    if path.suffix == ".csv":
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if tuple(reader.fieldnames or ()) != COLUMNS:
-                raise ValueError(f"{path}:1: unexpected columns {reader.fieldnames}")
-            for raw in reader:
-                where = f"{path}:{reader.line_num}"
-                # DictReader files missing cells as None and extra ones under None
-                if None in raw or None in raw.values():
-                    raise ValueError(f"{where}: need {len(COLUMNS)} cells")
-                row = {key: _parse_cell(key, raw[key]) for key in COLUMNS}
-                rows.append(_check_row(row, where))
-    elif path.suffix == ".jsonl":
-        with open(path) as f:
-            for line_num, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{line_num}"
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-                if not isinstance(row, dict) or set(row) != set(COLUMNS):
-                    raise ValueError(f"{where}: need an object with keys {list(COLUMNS)}")
-                rows.append(_check_row(row, where))
-    else:
-        raise ValueError(f"unsupported metrics format {path.suffix!r}, use .csv or .jsonl")
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        if tuple(reader.fieldnames or ()) != COLUMNS:
+            raise ValueError(f"{path}:1: unexpected columns {reader.fieldnames}")
+        for raw in reader:
+            where = f"{path}:{reader.line_num}"
+            # DictReader files missing cells as None and extra ones under None
+            if None in raw or None in raw.values():
+                raise ValueError(f"{where}: need {len(COLUMNS)} cells")
+            row = {key: _parse_cell(key, raw[key]) for key in COLUMNS}
+            rows.append(_check_row(row, where))
     return rows
 
 

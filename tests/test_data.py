@@ -197,6 +197,8 @@ def test_dirichlet_partition_validation():
         dirichlet_partition(np.array([0, 1]), 2, 0.0, rng)
     with pytest.raises(ValueError):
         dirichlet_partition(np.array([]), 1, 0.5, rng)
+    with pytest.raises(ValueError, match="^num_clients must be >= 1, got 0$"):
+        dirichlet_partition(np.array([0, 1]), 0, 0.5, rng)
 
 
 @pytest.mark.parametrize("partition, arg", [(dirichlet_partition, 0.5),
@@ -295,6 +297,12 @@ def test_power_law_exponent_zero_is_near_uniform():
     parts = power_law_two_class_partition(labels, 8, 0.0, np.random.default_rng(2))
     sizes = [p.size for p in parts]
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_power_law_refuses_a_negative_exponent():
+    labels = np.repeat([0, 1], 10)
+    with pytest.raises(ValueError, match="^exponent must be non-negative and finite, got -0.5$"):
+        power_law_two_class_partition(labels, 4, -0.5, np.random.default_rng(0))
 
 
 def test_power_law_leaves_the_tail_classes_partly_unassigned():

@@ -135,6 +135,28 @@ def test_broadcast_bits_static_and_dynamic():
     assert widths("dynamic") == cosine
 
 
+def test_uploads_go_at_the_broadcast_width_outside_dynamic_mode(monkeypatch):
+    """Static and cosine rounds work out one width and hand it to every
+    client; only dynamic rounds work out a width per upload."""
+    calls = []
+
+    def counting_schedule_bits(*args, **kwargs):
+        calls.append(args)
+        return schedule_bits(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "schedule_bits", counting_schedule_bits)
+    for mode in ("static", "cosine"):
+        calls.clear()
+        for r in run_experiment(make_config(rounds=10, mode=mode, bits=8)):
+            b = (r.downlink_bits // 3 - 80) // 9
+            assert r.uplink_bits == 3 * (9 * b + 80)
+            assert r.mean_bits == b
+        assert len(calls) == 10
+    calls.clear()
+    run_experiment(make_config(rounds=10, mode="dynamic"))
+    assert len(calls) == 10 * (1 + 3)
+
+
 # --- client update -----------------------------------------------------------
 
 
@@ -397,6 +419,13 @@ def test_evaluate_tie_and_accuracy():
     params = init_params(MODEL, streams.substream(0, streams.INIT))
     acc = evaluate(MODEL, params, test)
     assert 0.0 <= acc <= 1.0
+
+
+def test_evaluate_refuses_an_empty_dataset():
+    params = init_params(MODEL, streams.substream(0, streams.INIT))
+    empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="^cannot evaluate on an empty dataset$"):
+        evaluate(MODEL, params, empty)
 
 
 def _eval_set(n, input_dim=64, num_classes=10, seed=0):

@@ -417,23 +417,6 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
 
-def test_jsonl_roundtrip_identical(tmp_path):
-    path = tmp_path / "m.jsonl"
-    write_records(_records(), path)
-    rows = read_records(path)
-    assert rows == [record_to_row(r) for r in _records()]
-    # blank lines carry no row
-    spaced = tmp_path / "spaced.jsonl"
-    spaced.write_text("\n" + path.read_text().replace("\n", "\n  \n"))
-    assert read_records(spaced) == rows
-    # write -> read -> write is byte-stable
-    second = tmp_path / "m2.jsonl"
-    with open(second, "w") as f:
-        for row in rows:
-            f.write(json.dumps(row) + "\n")
-    assert second.read_bytes() == path.read_bytes()
-
-
 def test_empty_records_header_only(tmp_path):
     path = tmp_path / "m.csv"
     write_records([], path)
@@ -450,6 +433,12 @@ def test_unsupported_format_rejected(tmp_path):
     path.write_text("t\n0\n")
     with pytest.raises(ValueError, match="unsupported metrics format '.txt'"):
         read_records(path)
+    # jsonl is refused like any other suffix, by file name, and nothing is written
+    target = tmp_path / "m.jsonl"
+    with pytest.raises(ValueError) as exc:
+        write_records(_records(), target)
+    assert str(exc.value) == f"{target}: unsupported metrics format '.jsonl', use .csv"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
 
 
 def test_total_bits_and_best_accuracy():
@@ -530,14 +519,6 @@ def test_cli_rerun_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def test_cli_jsonl_format(tmp_path):
-    cfg = _write_config(tmp_path)
-    out = tmp_path / "out"
-    main(["run", "--config", str(cfg), "--out", str(out), "--format", "jsonl"])
-    rows = read_records(out / "metrics.jsonl")
-    assert len(rows) == 4
-
-
 def test_cli_compare(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -561,14 +542,8 @@ def test_cli_compare_json(tmp_path, capsys):
 def test_cli_compare_malformed_metrics_exits_2(tmp_path, capsys):
     good = tmp_path / "good.csv"
     write_records(_records(), good)
-    row = record_to_row(_records()[1])
     header = "t,downlink_bits,uplink_bits,mean_bits,test_acc,train_acc"
     bad = {
-        "missing_key.jsonl": (json.dumps(row) + "\n"
-                              + json.dumps({k: v for k, v in row.items() if k != "downlink_bits"}),
-                              2),
-        "list.jsonl": ("[1, 2]", 1),
-        "not_json.jsonl": ("{not json", 1),
         "short_row.csv": (f"{header}\n0,1", 2),
         "other_columns.csv": ("t,bits\n0,1", 1),
         "long_row.csv": (f"{header}\n0,1,2,3.0,,,7", 2),
@@ -577,10 +552,6 @@ def test_cli_compare_malformed_metrics_exits_2(tmp_path, capsys):
         "negative_t.csv": (f"{header}\n-1,100,500,8.0,,", 2),
         "inf_mean.csv": (f"{header}\n0,100,500,inf,,", 2),
         "nan_train_acc.csv": (f"{header}\n0,100,500,8.0,0.5,nan", 2),
-        "negative_bits.jsonl": (json.dumps(dict(row, downlink_bits=-500)), 1),
-        "negative_t.jsonl": (json.dumps(dict(row, t=-1)), 1),
-        "nan_mean.jsonl": (json.dumps(dict(row, mean_bits=float("nan"))), 1),
-        "inf_acc.jsonl": (json.dumps(dict(row, test_acc=float("inf"))), 1),
     }
     for name, (text, line) in bad.items():
         path = tmp_path / name
@@ -593,26 +564,49 @@ def test_cli_compare_malformed_metrics_exits_2(tmp_path, capsys):
 def test_cli_compare_refuses_values_of_the_wrong_type(tmp_path, capsys):
     good = tmp_path / "good.csv"
     write_records(_records(), good)
-    row = record_to_row(_records()[1])
     header = "t,downlink_bits,uplink_bits,mean_bits,test_acc,train_acc"
     bad = {
-        "null_bits.jsonl": (json.dumps(dict(row, downlink_bits=None)), "downlink_bits"),
-        "float_t.jsonl": (json.dumps(dict(row, t=1.0)), "t"),
-        "bool_bits.jsonl": (json.dumps(dict(row, uplink_bits=True)), "uplink_bits"),
-        "text_mean.jsonl": (json.dumps(dict(row, mean_bits="8")), "mean_bits"),
-        "bool_acc.jsonl": (json.dumps(dict(row, test_acc=False)), "test_acc"),
-        "null_mean.jsonl": (json.dumps(dict(row, mean_bits=None)), "mean_bits"),
         "text_cell.csv": (f"{header}\nabc,1,2,3.0,,", "t"),
         "blank_bits.csv": (f"{header}\n0,1,,3.0,,", "uplink_bits"),
         "text_acc.csv": (f"{header}\n0,1,2,3.0,high,", "test_acc"),
+        "float_t.csv": (f"{header}\n1.0,1,2,3.0,,", "t"),
+        "blank_mean.csv": (f"{header}\n0,1,2,,,", "mean_bits"),
     }
     for name, (text, column) in bad.items():
         path = tmp_path / name
         path.write_text(text + "\n")
         assert main(["compare", str(good), str(path)]) == 2, name
         err = capsys.readouterr().err
-        line = 1 if name.endswith(".jsonl") else 2
-        assert f"{path}:{line}: {column} must be" in err and "Traceback" not in err
+        assert f"{path}:2: {column} must be" in err and "Traceback" not in err
+
+
+def test_cli_compare_refuses_a_jsonl_file(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    write_records(_records(), good)
+    path = tmp_path / "metrics.jsonl"
+    path.write_text(json.dumps(record_to_row(_records()[1])) + "\n")
+    assert main(["compare", str(good), str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fedqdp compare: error: {path}: unsupported metrics format '.jsonl', use .csv"
+    ]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_has_no_format_option(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg), "--out", str(out), "--format", "csv"]
+    if command == "sweep":
+        args += ["--grid", json.dumps({"seed": [0]})]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--format" not in capsys.readouterr().out
 
 
 def test_cli_sweep(tmp_path, capsys):

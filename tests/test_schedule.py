@@ -60,6 +60,12 @@ def test_round_bits_half_up_and_clamp():
     assert round_bits(9.5, 2, 32) == 10  # half always rounds up, never to even
 
 
+@pytest.mark.parametrize("b", [float("nan"), float("inf"), -float("inf")])
+def test_round_bits_refuses_a_non_finite_width(b):
+    with pytest.raises(ValueError, match=rf"^cannot round non-finite width {b}$"):
+        round_bits(b, 2, 32)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 64.0), st.integers(2, 16), st.integers(16, 32))
 def test_round_bits_always_in_range(b, lo, hi):
