@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -52,6 +53,7 @@ def _execute(raw: dict, out_dir: Path) -> dict:
     manifest = RunManifest(
         config=raw,
         seed=cfg.seed,
+        python_version=platform.python_version(),
         numpy_version=np.__version__,
         package_version=__version__,
         started=started,

@@ -275,32 +275,22 @@ def aggregate(uploads: list[QuantizedParamSet], sizes: list[int]) -> ParamSet:
 def make_datasets(
     data_cfg: BlobsConfig | IdxConfig, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Build (train, test). Blob draws use dedicated streams off the seed;
-    IDX files are loaded as-is with a shared class count."""
+    """Build (train, test). Blob draws use dedicated streams off the seed,
+    0 for train and 1 for test; IDX files are loaded as-is with a shared
+    class count."""
     if isinstance(data_cfg, BlobsConfig):
-        train = synthetic_blobs(
-            data_cfg.num_classes,
-            data_cfg.input_dim,
-            data_cfg.train_per_class,
-            data_cfg.spread,
-            streams.substream(seed, streams.DATA, 0),
+        return tuple(
+            synthetic_blobs(data_cfg.num_classes, data_cfg.input_dim, per_class, data_cfg.spread,
+                            streams.substream(seed, streams.DATA, i))
+            for i, per_class in enumerate((data_cfg.train_per_class, data_cfg.test_per_class))
         )
-        test = synthetic_blobs(
-            data_cfg.num_classes,
-            data_cfg.input_dim,
-            data_cfg.test_per_class,
-            data_cfg.spread,
-            streams.substream(seed, streams.DATA, 1),
-        )
-        return train, test
-    train = load_idx(data_cfg.train_images, data_cfg.train_labels)
-    test = load_idx(data_cfg.test_images, data_cfg.test_labels)
-    k = max(train.num_classes, test.num_classes)
-    if train.num_classes != k:
-        train = LabeledDataset(train.features, train.labels, k)
-    if test.num_classes != k:
-        test = LabeledDataset(test.features, test.labels, k)
-    return train, test
+    splits = [load_idx(images, labels) for images, labels in (
+        (data_cfg.train_images, data_cfg.train_labels),
+        (data_cfg.test_images, data_cfg.test_labels),
+    )]
+    k = max(s.num_classes for s in splits)
+    return tuple(s if s.num_classes == k else LabeledDataset(s.features, s.labels, k)
+                 for s in splits)
 
 
 def partition_dataset(train: LabeledDataset, cfg: ExperimentConfig) -> list[np.ndarray]:

@@ -65,35 +65,24 @@ def write_records(records: list[RoundRecord], path: str | Path) -> None:
             writer.writerow([_format_cell(k, row[k]) for k in COLUMNS])
 
 
-def _parse_cell(key: str, cell: str):
-    """A csv cell as the value it was written from; a cell that does not
-    parse is kept as text for _check_row to refuse."""
-    if cell == "":
+def _parse_cell(key: str, cell: str, where: str):
+    """A csv cell as the value it was written from: an integer for t and the
+    bit columns, a number for mean_bits, a number or None (blank) for the
+    accuracies. Every number must be finite and non-negative; any other
+    cell raises ValueError naming where and the column."""
+    if cell == "" and key in _ACC_COLUMNS:
         return None
     try:
-        return int(cell) if key in _INT_COLUMNS else float(cell)
+        value = int(cell) if key in _INT_COLUMNS else float(cell)
     except ValueError:
-        return cell
-
-
-def _check_row(row: dict, where: str) -> dict:
-    """Refuse a parsed row with a cell that is not of its column's type:
-    an integer for t and the bit columns, a number for mean_bits, a number
-    or blank for the accuracies. Every number must be finite and
-    non-negative."""
-    for key in COLUMNS:
-        value = row[key]
-        if value is None and key in _ACC_COLUMNS:
-            continue
-        if not isinstance(value, (int, float)):
-            need = "an integer" if key in _INT_COLUMNS else "a number"
-            if key in _ACC_COLUMNS:
-                need += " or blank"
-            raise ValueError(f"{where}: {key} must be {need}, got {value!r}")
-        # false for nan as well as for negative and infinite values
-        if not 0 <= value < float("inf"):
-            raise ValueError(f"{where}: {key} must be finite and non-negative, got {value!r}")
-    return row
+        need = "an integer" if key in _INT_COLUMNS else "a number"
+        if key in _ACC_COLUMNS:
+            need += " or blank"
+        raise ValueError(f"{where}: {key} must be {need}, got {cell or None!r}") from None
+    # false for nan as well as for negative and infinite values
+    if not 0 <= value < float("inf"):
+        raise ValueError(f"{where}: {key} must be finite and non-negative, got {value!r}")
+    return value
 
 
 def read_records(path: str | Path) -> list[dict]:
@@ -115,8 +104,7 @@ def read_records(path: str | Path) -> list[dict]:
             # DictReader files missing cells as None and extra ones under None
             if None in raw or None in raw.values():
                 raise ValueError(f"{where}: need {len(COLUMNS)} cells")
-            row = {key: _parse_cell(key, raw[key]) for key in COLUMNS}
-            rows.append(_check_row(row, where))
+            rows.append({key: _parse_cell(key, raw[key], where) for key in COLUMNS})
     return rows
 
 
@@ -126,6 +114,7 @@ class RunManifest:
 
     config: dict
     seed: int
+    python_version: str
     numpy_version: str
     package_version: str
     started: str

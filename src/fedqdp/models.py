@@ -111,9 +111,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._layout.view(self._vector, name)
 
-    def __len__(self) -> int:
-        return len(self._layout)
-
     def __repr__(self) -> str:
         shapes = ", ".join(f"{name}:{shape}" for name, shape, _, _ in self._layout.entries)
         return f"ParamSet({shapes})"
@@ -157,48 +154,45 @@ class ModelSpec:
             raise ValueError(f"mlp needs hidden_dim >= 1, got {self.hidden_dim}")
 
 
+# (weight, bias) names of the softmax layer that produces the logits
+_OUTPUT_LAYER = {"logistic": ("w", "b"), "mlp": ("w2", "b2")}
+
+
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamSet:
     """Initial parameters: weights uniform on [-1/sqrt(fan_in), 1/sqrt(fan_in)],
-    biases zero. Same generator state gives bit-identical parameters."""
+    biases zero, drawn layer by layer from the input side. Same generator
+    state gives bit-identical parameters."""
 
-    def weight(rows, cols):
+    def layer(weight, bias, rows, cols):
         limit = 1.0 / np.sqrt(cols)
-        return rng.uniform(-limit, limit, size=(rows, cols))
+        return {weight: rng.uniform(-limit, limit, size=(rows, cols)), bias: np.zeros(rows)}
 
-    if spec.kind == "logistic":
-        return ParamSet(
-            {
-                "w": weight(spec.num_classes, spec.input_dim),
-                "b": np.zeros(spec.num_classes),
-            }
-        )
-    return ParamSet(
-        {
-            "w1": weight(spec.hidden_dim, spec.input_dim),
-            "b1": np.zeros(spec.hidden_dim),
-            "w2": weight(spec.num_classes, spec.hidden_dim),
-            "b2": np.zeros(spec.num_classes),
-        }
-    )
+    tensors, fan_in = {}, spec.input_dim
+    if spec.kind == "mlp":
+        tensors.update(layer("w1", "b1", spec.hidden_dim, fan_in))
+        fan_in = spec.hidden_dim
+    tensors.update(layer(*_OUTPUT_LAYER[spec.kind], spec.num_classes, fan_in))
+    return ParamSet(tensors)
 
 
 def _logits(spec: ModelSpec, params: ParamSet, x: np.ndarray):
     """Returns (logits, hidden activations or None).
 
-    The bias add and tanh write into the matmul output, so a forward pass
-    over n rows holds one (n, hidden_dim) array, not two. The values equal
-    the out-of-place tanh(x @ w1.T + b1).
+    The MLP's tanh layer feeds the output layer; the logistic model is the
+    output layer alone, applied to x. The bias add and tanh write into the
+    matmul output, so a forward pass over n rows holds one (n, hidden_dim)
+    array, not two. The values equal the out-of-place
+    tanh(x @ w1.T + b1) @ w2.T + b2.
     """
-    if spec.kind == "logistic":
-        logits = x @ params["w"].T
-        logits += params["b"]
-        return logits, None
-    h = x @ params["w1"].T
-    h += params["b1"]
-    np.tanh(h, out=h)
-    logits = h @ params["w2"].T
-    logits += params["b2"]
-    return logits, h
+    hidden = None
+    if spec.kind == "mlp":
+        hidden = x @ params["w1"].T
+        hidden += params["b1"]
+        np.tanh(hidden, out=hidden)
+    w, b = _OUTPUT_LAYER[spec.kind]
+    logits = (x if hidden is None else hidden) @ params[w].T
+    logits += params[b]
+    return logits, hidden
 
 
 def predict(spec: ModelSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
@@ -236,13 +230,11 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarra
 
     layout = params.layout
     flat = np.empty(layout.size)
-    if spec.kind == "logistic":
-        np.matmul(dlogits.T, x, out=layout.view(flat, "w"))
-        np.add.reduce(dlogits, axis=0, out=layout.view(flat, "b"))
-    else:
-        np.matmul(dlogits.T, hidden, out=layout.view(flat, "w2"))
-        np.add.reduce(dlogits, axis=0, out=layout.view(flat, "b2"))
-        dh = dlogits @ params["w2"]
+    w, b = _OUTPUT_LAYER[spec.kind]
+    np.matmul(dlogits.T, x if hidden is None else hidden, out=layout.view(flat, w))
+    np.add.reduce(dlogits, axis=0, out=layout.view(flat, b))
+    if hidden is not None:
+        dh = dlogits @ params[w]
         # tanh' = 1 - hidden^2, formed in the activation's own buffer
         hidden *= hidden
         np.subtract(1.0, hidden, out=hidden)

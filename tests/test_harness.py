@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -495,6 +496,7 @@ def test_cli_run_writes_metrics_and_manifest(tmp_path, capsys):
     assert manifest["config"]["rounds"] == 4
     assert manifest["outputs"] == ["metrics.csv"]
     assert manifest["numpy_version"] == np.__version__
+    assert manifest["python_version"] == platform.python_version()
     rows = read_records(metrics)
     assert len(rows) == 4
 
@@ -566,18 +568,19 @@ def test_cli_compare_refuses_values_of_the_wrong_type(tmp_path, capsys):
     write_records(_records(), good)
     header = "t,downlink_bits,uplink_bits,mean_bits,test_acc,train_acc"
     bad = {
-        "text_cell.csv": (f"{header}\nabc,1,2,3.0,,", "t"),
-        "blank_bits.csv": (f"{header}\n0,1,,3.0,,", "uplink_bits"),
-        "text_acc.csv": (f"{header}\n0,1,2,3.0,high,", "test_acc"),
-        "float_t.csv": (f"{header}\n1.0,1,2,3.0,,", "t"),
-        "blank_mean.csv": (f"{header}\n0,1,2,,,", "mean_bits"),
+        "text_cell.csv": (f"{header}\nabc,1,2,3.0,,", "t must be an integer, got 'abc'"),
+        "blank_bits.csv": (f"{header}\n0,1,,3.0,,", "uplink_bits must be an integer, got None"),
+        "text_acc.csv": (f"{header}\n0,1,2,3.0,high,",
+                         "test_acc must be a number or blank, got 'high'"),
+        "float_t.csv": (f"{header}\n1.0,1,2,3.0,,", "t must be an integer, got '1.0'"),
+        "blank_mean.csv": (f"{header}\n0,1,2,,,", "mean_bits must be a number, got None"),
     }
-    for name, (text, column) in bad.items():
+    for name, (text, message) in bad.items():
         path = tmp_path / name
         path.write_text(text + "\n")
         assert main(["compare", str(good), str(path)]) == 2, name
         err = capsys.readouterr().err
-        assert f"{path}:2: {column} must be" in err and "Traceback" not in err
+        assert f"{path}:2: {message}\n" in err and "Traceback" not in err
 
 
 def test_cli_compare_refuses_a_jsonl_file(tmp_path, capsys):

@@ -93,6 +93,27 @@ def test_init_mlp_tensors():
     assert np.all(np.abs(params["w2"]) <= 1.0 / math.sqrt(4))
 
 
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+def test_init_params_equals_a_per_layer_oracle(spec):
+    """Layer by layer from the input side, one generator: the weights
+    uniform on +-1/sqrt(fan_in), then the biases zero, with no other draw."""
+    layers = [("w", "b")] if spec.kind == "logistic" else [("w1", "b1"), ("w2", "b2")]
+    widths = [spec.input_dim] + [spec.hidden_dim] * (len(layers) - 1) + [spec.num_classes]
+    gen = np.random.default_rng(5)
+    expected = {}
+    for (w, b), fan_in, fan_out in zip(layers, widths, widths[1:]):
+        limit = 1.0 / math.sqrt(fan_in)
+        expected[w] = gen.uniform(-limit, limit, size=(fan_out, fan_in))
+        expected[b] = np.zeros(fan_out)
+
+    used = np.random.default_rng(5)
+    params = init_params(spec, used)
+    assert params.layout.names == tuple(expected)
+    for name, value in expected.items():
+        assert np.array_equal(params[name], value), name
+    assert used.random() == gen.random()
+
+
 def test_init_deterministic_and_roughly_centered():
     a = init_params(MLP, np.random.default_rng(7))
     b = init_params(MLP, np.random.default_rng(7))

@@ -1,9 +1,11 @@
-"""Package shape: src/fedqdp holds only code that the package itself uses.
+"""Package shape: src/fedqdp holds only code that the package itself uses,
+and every function the benchmark's tracer wraps by name still exists.
 
 A helper that only tests call belongs in the tests, next to its callers.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import fedqdp
@@ -39,3 +41,25 @@ def unused_definitions(package: Path) -> list[str]:
 
 def test_every_top_level_definition_is_named_elsewhere_in_the_package():
     assert unused_definitions(Path(fedqdp.__file__).parent) == []
+
+
+# Functions deleted from the package that perfbench/tracer.py still lists;
+# the benchmark reads their metrics as zero until TARGETS drops them.
+STALE_TRACE_TARGETS = {
+    "backend.round_clip",
+    "backend.laplace_from_uniform",
+    "privacy.lipschitz_estimate",
+    "privacy.perturb",
+}
+
+
+def test_every_benchmark_trace_target_resolves():
+    """A refactor that moves or renames a traced function turns its
+    per-layer metrics into zeros without notice; this catches it here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = {name for module, attr, name in tracer.TARGETS
+              if tracer._resolve(module, attr) is None}
+    assert absent <= STALE_TRACE_TARGETS
