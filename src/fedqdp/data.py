@@ -8,6 +8,7 @@ arrays, one per client, each client non-empty.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from itertools import combinations, islice, product
@@ -183,6 +184,7 @@ def synthetic_blobs(
     Samples are in class-major order; spread = 0 puts every sample exactly
     on its mean.
     """
+    # kept beside BlobsConfig's checks: with input_dim 0 the lattice loop below never ends
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     if input_dim < 1:
@@ -208,14 +210,22 @@ def synthetic_blobs(
     return LabeledDataset(features, labels, num_classes)
 
 
-def _read_idx_header(raw: bytes, path: str, magic: int, dims: int) -> tuple[tuple[int, ...], memoryview]:
+def _read_idx(path: str, magic: int, dims: int) -> tuple[tuple[int, ...], memoryview]:
+    """The header's dimensions and the body of an IDX file whose body holds
+    one byte per value; the body is a view of the file's bytes, not a copy."""
+    with open(path, "rb") as f:
+        raw = f.read()
     header = 4 * (1 + dims)
     if len(raw) < header:
         raise IdxParseError(f"{path}: truncated header, {len(raw)} bytes")
     fields = struct.unpack(f">{1 + dims}I", raw[:header])
     if fields[0] != magic:
         raise IdxParseError(f"{path}: bad magic 0x{fields[0]:08x}, expected 0x{magic:08x}")
-    return fields[1:], memoryview(raw)[header:]  # the body, not a copy of it
+    expected = math.prod(fields[1:])
+    body = memoryview(raw)[header:]
+    if len(body) != expected:
+        raise IdxParseError(f"{path}: data truncated, {len(body)} bytes for {expected} values")
+    return fields[1:], body
 
 
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
@@ -225,24 +235,10 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     features. The class count is max(label) + 1. Malformed inputs raise
     IdxParseError naming the file and the problem.
     """
-    with open(images_path, "rb") as f:
-        raw = f.read()
-    (count, rows, cols), body = _read_idx_header(raw, str(images_path), IMAGE_MAGIC, 3)
-    expected = count * rows * cols
-    if len(body) != expected:
-        raise IdxParseError(
-            f"{images_path}: image data truncated, {len(body)} bytes for {expected} pixels"
-        )
+    (count, rows, cols), body = _read_idx(images_path, IMAGE_MAGIC, 3)
     pixels = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
     pixels /= 255.0
-
-    with open(labels_path, "rb") as f:
-        raw = f.read()
-    (label_count,), body = _read_idx_header(raw, str(labels_path), LABEL_MAGIC, 1)
-    if len(body) != label_count:
-        raise IdxParseError(
-            f"{labels_path}: label data truncated, {len(body)} bytes for {label_count} labels"
-        )
+    (label_count,), body = _read_idx(labels_path, LABEL_MAGIC, 1)
     if label_count != count:
         raise IdxParseError(f"count mismatch: {count} images vs {label_count} labels")
     if count == 0:

@@ -262,14 +262,13 @@ def aggregate(uploads: list[QuantizedParamSet], sizes: list[int]) -> ParamSet:
     if not uploads:
         raise ValueError("cannot aggregate zero uploads")
     total = float(sum(sizes))
-    first = dequantize_params(uploads[0])
-    acc = first.vector * (sizes[0] / total)
-    for q, n in zip(uploads[1:], sizes[1:], strict=True):
-        decoded = dequantize_params(q)
-        if decoded.layout != first.layout:
-            raise ShapeMismatchError(f"{decoded!r} and {first!r} differ in tensor names or shapes")
-        acc += decoded.vector * (n / total)
-    return ParamSet.from_vector(first.layout, acc)
+    layout = uploads[0].layout
+    acc = np.zeros(layout.size)
+    for i, (q, n) in enumerate(zip(uploads, sizes, strict=True)):
+        if q.layout != layout:
+            raise ShapeMismatchError(f"upload {i} and upload 0 differ in tensor names or shapes")
+        acc += dequantize_params(q).vector * (n / total)
+    return ParamSet.from_vector(layout, acc)
 
 
 def make_datasets(

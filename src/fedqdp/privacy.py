@@ -178,12 +178,11 @@ def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> Par
 
     Sampled by inverse CDF from uniforms on (-1/2, 1/2), one draw over the
     whole vector in layout order (the same stream as one draw per tensor
-    in turn): scale = 0 returns exact zeros without consuming randomness.
+    in turn). Scale 0 draws its uniforms like any other scale and gives
+    zeros, some of which may be -0.0.
     """
     if not np.isfinite(scale) or scale < 0:
         raise ValueError(f"scale must be non-negative and finite, got {scale}")
-    if scale == 0.0:
-        return like.zeros_like()
     u = rng.random(like.num_elements)
     u -= 0.5
     return ParamSet.from_vector(like.layout, _laplace_from_uniform(u, scale))

@@ -110,13 +110,10 @@ def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> Qu
     b = _check_bits(bits)
     layout = params.layout
     flat = params.vector
-    # reduceat would read one element for an empty segment and rejects an
-    # offset at the end of the vector, so empty tensors are skipped (alpha 0)
-    alpha = np.zeros(len(layout))
-    filled = layout.sizes > 0
-    if filled.any():
-        alpha[filled] = np.maximum.reduceat(np.abs(flat), layout.offsets[filled])
-    scales = np.array([scale_factor(a, b) for a in alpha.tolist()])
+    scales = np.array([
+        scale_factor(float(np.abs(flat[offset : offset + size]).max(initial=0.0)), b)
+        for _, _, offset, size in layout.entries
+    ])
     scaled = np.repeat(scales, layout.sizes)
     scaled *= flat
     codes = _round_clip(scaled, rng.random(flat.size), b)

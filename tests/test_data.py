@@ -1,5 +1,6 @@
 """Datasets, partitioners, and the IDX loader."""
 
+import re
 import struct
 import tracemalloc
 from itertools import combinations, islice, product
@@ -454,14 +455,14 @@ def test_load_idx_bad_label_magic(tmp_path):
 def test_load_idx_truncated_images(tmp_path):
     pixels = np.zeros((2, 2, 2), dtype=np.uint8)
     img, lab = _write_idx_pair(tmp_path, pixels, [0, 1], truncate_images=3)
-    with pytest.raises(IdxParseError, match="truncated"):
+    with pytest.raises(IdxParseError, match=re.escape(img) + ": .*truncated"):
         load_idx(img, lab)
 
 
 def test_load_idx_truncated_labels(tmp_path):
     pixels = np.zeros((2, 2, 2), dtype=np.uint8)
     img, lab = _write_idx_pair(tmp_path, pixels, [0, 1], truncate_labels=1)
-    with pytest.raises(IdxParseError, match="truncated"):
+    with pytest.raises(IdxParseError, match=re.escape(lab) + ": .*truncated"):
         load_idx(img, lab)
 
 

@@ -521,6 +521,19 @@ def test_cli_rerun_byte_identical(tmp_path):
     ).read_bytes()
 
 
+def test_cli_logistic_ignores_hidden_dim(tmp_path):
+    """Each model kind reads only its own keys, so a sweep over model.kind
+    can keep hidden_dim in the base config."""
+    model = {"kind": "logistic", "input_dim": 2, "num_classes": 3}
+    for name, extra in (("plain", {}), ("hidden", {"hidden_dim": 7})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**SMALL_RAW, "model": {**model, **extra}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "plain" / "metrics.csv").read_bytes() == (
+        tmp_path / "hidden" / "metrics.csv"
+    ).read_bytes()
+
+
 def test_cli_compare(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])

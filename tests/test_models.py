@@ -127,7 +127,8 @@ def test_init_deterministic_and_roughly_centered():
 
 def test_loss_at_zero_params_is_log_k():
     for spec in (LOGISTIC, MLP):
-        params = init_params(spec, np.random.default_rng(0)).zeros_like()
+        layout = init_params(spec, np.random.default_rng(0)).layout
+        params = ParamSet.from_vector(layout, np.zeros(layout.size))
         x = np.random.default_rng(1).standard_normal((5, spec.input_dim))
         y = np.array([0, 1, 2, 0, 1])
         loss, _ = loss_and_grad(spec, params, x, y)
@@ -135,7 +136,8 @@ def test_loss_at_zero_params_is_log_k():
 
 
 def test_predict_tie_goes_to_lowest_class():
-    params = init_params(LOGISTIC, np.random.default_rng(0)).zeros_like()
+    layout = init_params(LOGISTIC, np.random.default_rng(0)).layout
+    params = ParamSet.from_vector(layout, np.zeros(layout.size))
     # zero params make every class equally likely
     out = predict(LOGISTIC, params, np.array([[1.0, -1.0]]))
     assert out[0] == 0

@@ -6,9 +6,13 @@ A helper that only tests call belongs in the tests, next to its callers.
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
+
 import fedqdp
+from fedqdp import config, federation
 
 
 def _identifiers(node: ast.AST) -> set[str]:
@@ -53,13 +57,33 @@ STALE_TRACE_TARGETS = {
 }
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_every_benchmark_trace_target_resolves():
     """A refactor that moves or renames a traced function turns its
     per-layer metrics into zeros without notice; this catches it here."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tracer()
     absent = {name for module, attr, name in tracer.TARGETS
               if tracer._resolve(module, attr) is None}
     assert absent <= STALE_TRACE_TARGETS
+
+
+@pytest.mark.parametrize("workload", sorted(p.stem for p in (PERFBENCH / "workloads").glob("*.json")))
+def test_every_benchmark_counter_reads_its_calls(workload):
+    """The tracer's counters read the traced functions' arguments and
+    results (ParamSet.num_elements, the batch labels). A refactor that
+    drops one of those marks "<name> counters" absent and zeroes the
+    counter without stopping the run; a short run of each workload
+    catches it here."""
+    raw = json.loads((PERFBENCH / "workloads" / f"{workload}.json").read_text())
+    with _load_tracer().Tracer() as traced:
+        federation.run_experiment(config.parse_config_dict({**raw, "rounds": 3}))
+    assert traced.absent <= STALE_TRACE_TARGETS
