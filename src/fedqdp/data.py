@@ -92,9 +92,10 @@ def dirichlet_partition(
         rng.shuffle(idx)
         proportions = rng.dirichlet(np.full(num_clients, alpha))
         cuts = (np.cumsum(proportions)[:-1] * idx.size).astype(np.int64)
-        # cuts rise and stay within idx.size, so these are the piece sizes
-        # np.split(idx, cuts) would hand to the clients in turn
-        owner[idx] = np.repeat(np.arange(num_clients), np.diff(cuts, prepend=0, append=idx.size))
+        # cuts rise and stay within idx.size, so the client of each position
+        # is the number of cuts at or before it, as np.split(idx, cuts)
+        # would hand the pieces to the clients in turn
+        owner[idx] = np.searchsorted(cuts, np.arange(idx.size), side="right")
     # the keys are unique, so one sort groups the samples by client and
     # orders each client's indices ascending
     keys = owner * n + np.arange(n)
@@ -198,7 +199,7 @@ def synthetic_blobs(
         side += 1
     lattice = islice(product(range(side), repeat=input_dim), num_classes)
     means = np.array(list(lattice), dtype=np.float64)
-    labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
+    labels = np.arange(num_classes * samples_per_class, dtype=np.int64) // samples_per_class
     features = rng.standard_normal((labels.size, input_dim))
     try:
         with np.errstate(over="raise"):

@@ -5,7 +5,8 @@ width and every upload width, broadcasts quantized global parameters,
 clients train locally (optionally clipping gradients and adding Laplace
 noise before upload) and quantize at the width they are handed, and the
 server averages the dequantized uploads weighted by dataset size. Every
-message is metered by quantize.comm_cost.
+message is metered by quantize.comm_cost from the parameters' layout and
+the width decided for it.
 """
 
 from __future__ import annotations
@@ -310,8 +311,10 @@ def _train_round(
     the broadcast at the schedule's full weight, b_t. Every upload goes at
     b_t too, except in dynamic mode, where each is damped by its client's
     importance (label entropy mixed with the dataset size relative to the
-    round's largest). Returns the aggregated parameters and the round's
-    record, with both accuracies None. The broadcast and the uploads are
+    round's largest). Every message is priced from the layout and the
+    width decided for it, and an upload quantized at any other width is
+    refused. Returns the aggregated parameters and the round's record,
+    with both accuracies None. The broadcast and the uploads are
     locals, so they are freed on return, before the caller evaluates.
     """
     ids = select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)
@@ -330,11 +333,14 @@ def _train_round(
     # so one decoded copy is shared
     global_params = dequantize_params(q_global)
     uploads = [client_update(global_params, c, cfg, t, b) for c, b in zip(selected, upload_bits)]
+    for c, q, b in zip(selected, uploads, upload_bits):
+        if q.bits != b:
+            raise ValueError(f"client {c.client_id} uploaded at {q.bits} bits, not the {b} decided")
     record = RoundRecord(
         t=t,
         selected=tuple(int(i) for i in ids),
-        downlink_bits=cfg.clients_per_round * comm_cost(q_global),
-        uplink_bits=sum(comm_cost(q) for q in uploads),
+        downlink_bits=cfg.clients_per_round * comm_cost(params.layout, b_t),
+        uplink_bits=sum(comm_cost(params.layout, b) for b in upload_bits),
         mean_bits=round(float(np.mean(upload_bits)), 6),
     )
     return aggregate(uploads, [c.size for c in selected]), record
@@ -360,14 +366,10 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
             f"model num_classes {cfg.model.num_classes} != dataset classes {train.num_classes}"
         )
     parts = partition_dataset(train, cfg)
-    # every client's label histogram from one count of (client, label) pairs
-    k = train.num_classes
-    owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
-    pairs = owner * k + train.labels[np.concatenate(parts)]
-    label_counts = np.bincount(pairs, minlength=len(parts) * k).reshape(len(parts), k)
     clients = [
-        ClientData(client_id=i, dataset=train, indices=p, label_counts=counts)
-        for i, (p, counts) in enumerate(zip(parts, label_counts))
+        ClientData(client_id=i, dataset=train, indices=p,
+                   label_counts=np.bincount(train.labels[p], minlength=train.num_classes))
+        for i, p in enumerate(parts)
     ]
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
 

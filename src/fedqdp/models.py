@@ -26,7 +26,7 @@ class Layout:
     their conformability check an identity test.
     """
 
-    __slots__ = ("entries", "names", "sizes", "size", "_index")
+    __slots__ = ("entries", "names", "size", "_index")
 
     def __init__(self, shapes):
         entries = []
@@ -38,7 +38,6 @@ class Layout:
             offset += size
         self.entries: tuple[tuple[str, tuple[int, ...], int, int], ...] = tuple(entries)
         self.names = tuple(e[0] for e in entries)
-        self.sizes = np.array([e[3] for e in entries], dtype=np.intp)
         self.size = offset
         self._index = {e[0]: e for e in entries}
 

@@ -5,14 +5,16 @@ A tensor is scaled by s = (2^(b-1) - 1) / max|x|, stochastically rounded to
 integer codes, and clipped into the signed b-bit range. Rounding is down
 with probability ceil(x) - x and up otherwise, which makes the code an
 unbiased estimate of the scaled value. An all-zero tensor gets scale 1 so
-dequantization is always well defined. A whole ParamSet is quantized in
-one pass over its flat vector, and its codes are held in the narrowest
-signed integer type that fits the bit width.
+dequantization is always well defined. A whole ParamSet is scaled tensor
+by tensor into one flat vector, which is rounded and clipped as a whole;
+its codes are held in the narrowest signed integer type that fits the bit
+width.
 
-Wire format, as metered by comm_cost: per tensor, an 8-bit width tag
-(TAG_BITS), a 32-bit fp32 scale field (SCALE_BITS) and the tensor's codes
-at b bits each. The simulation encodes and decodes with the float64 scale,
-which the 32-bit field does not hold exactly.
+Wire format, as metered by comm_cost from the layout and the width alone:
+per tensor, an 8-bit width tag (TAG_BITS), a 32-bit fp32 scale field
+(SCALE_BITS) and the tensor's codes at b bits each. The simulation encodes
+and decodes with the float64 scale, which the 32-bit field does not hold
+exactly.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ class QuantizedParamSet:
             raise ValueError(f"scales must be positive and finite, got {self.scales}")
 
 
-def comm_cost(q: QuantizedParamSet) -> int:
-    """Bits to transmit one quantized parameter message."""
-    return q.codes.size * q.bits + len(q.layout) * (SCALE_BITS + TAG_BITS)
+def comm_cost(layout: Layout, bits: int) -> int:
+    """Bits to transmit one parameter message of the given layout quantized
+    at the given width."""
+    return layout.size * _check_bits(bits) + len(layout) * (SCALE_BITS + TAG_BITS)
 
 
 def scale_factor(alpha: float, bits: int) -> float:
@@ -87,37 +90,29 @@ def scale_factor(alpha: float, bits: int) -> float:
     return min(float(2 ** (bits - 1) - 1) / alpha, sys.float_info.max)
 
 
-def _round_clip(scaled: np.ndarray, u: np.ndarray, bits: int) -> np.ndarray:
-    """Stochastically round pre-scaled values, clip into the signed b-bit
-    range [-(2^(b-1) - 1), 2^(b-1) - 1] and return codes of code_dtype(bits).
-
-    Rounds down when the uniform draw u >= the fractional part, up
-    otherwise, so the expected value of the code equals the input.
-    """
-    bound = float(2 ** (bits - 1) - 1)
-    codes = np.floor(scaled)
-    codes += u < scaled - codes
-    np.clip(codes, -bound, bound, out=codes)
-    return codes.astype(code_dtype(bits))
-
-
 def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> QuantizedParamSet:
     """Quantize every tensor at the same bit width with per-tensor scales.
 
-    One uniform draw covers the whole vector in layout order, which is the
-    same stream as one draw per tensor in turn.
+    Each tensor's segment is scaled into one vector, which rounds up where
+    its uniform draw u < the fractional part and down otherwise, then
+    clips into [-(2^(b-1) - 1), 2^(b-1) - 1]. One draw covers the whole
+    vector in layout order, the same stream as one draw per tensor in turn.
     """
     b = _check_bits(bits)
     layout = params.layout
     flat = params.vector
-    scales = np.array([
-        scale_factor(float(np.abs(flat[offset : offset + size]).max(initial=0.0)), b)
-        for _, _, offset, size in layout.entries
-    ])
-    scaled = np.repeat(scales, layout.sizes)
-    scaled *= flat
-    codes = _round_clip(scaled, rng.random(flat.size), b)
-    return QuantizedParamSet(layout=layout, codes=codes, scales=scales, bits=b)
+    scales = np.empty(len(layout))
+    scaled = np.empty(layout.size)
+    for i, (_, _, offset, size) in enumerate(layout.entries):
+        segment = flat[offset : offset + size]
+        scales[i] = scale_factor(float(np.abs(segment).max(initial=0.0)), b)
+        np.multiply(segment, scales[i], out=scaled[offset : offset + size])
+    bound = float(2 ** (b - 1) - 1)
+    codes = np.floor(scaled)
+    scaled -= codes  # the fractional parts
+    codes += rng.random(flat.size) < scaled
+    np.clip(codes, -bound, bound, out=codes)
+    return QuantizedParamSet(layout, codes.astype(code_dtype(b)), scales, b)
 
 
 def dequantize_params(q: QuantizedParamSet) -> ParamSet:
@@ -125,6 +120,7 @@ def dequantize_params(q: QuantizedParamSet) -> ParamSet:
 
     Every int8, int16 or int32 code converts to float64 exactly, so the
     result does not depend on the code type."""
-    values = np.repeat(q.scales, q.layout.sizes)
-    np.divide(q.codes, values, out=values)
+    values = np.empty(q.layout.size)
+    for (_, _, offset, size), scale in zip(q.layout.entries, q.scales):
+        np.divide(q.codes[offset : offset + size], scale, out=values[offset : offset + size])
     return ParamSet.from_vector(q.layout, values)

@@ -21,23 +21,24 @@ MODES = ("static", "cosine", "dynamic")
 @dataclass(frozen=True)
 class ScheduleConfig:
     mode: str
-    b_max: int = 32
-    b_min: int = 8
-    lambda_h: float = 0.75
+    b_max: int = 32  # cosine and dynamic modes
+    b_min: int = 8  # cosine and dynamic modes
+    lambda_h: float = 0.75  # dynamic mode only
     bits: int = 32  # static mode only
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (BITS_MIN <= self.b_min <= self.b_max <= BITS_MAX):
+        # each mode checks only the fields it reads
+        if self.mode == "static" and not (BITS_MIN <= self.bits <= BITS_MAX):
+            raise ValueError(f"static bits must lie in [{BITS_MIN}, {BITS_MAX}], got {self.bits}")
+        if self.mode != "static" and not (BITS_MIN <= self.b_min <= self.b_max <= BITS_MAX):
             raise ValueError(
                 f"need {BITS_MIN} <= b_min <= b_max <= {BITS_MAX}, "
                 f"got b_min={self.b_min}, b_max={self.b_max}"
             )
-        if not (0.0 <= self.lambda_h <= 1.0):
+        if self.mode == "dynamic" and not (0.0 <= self.lambda_h <= 1.0):
             raise ValueError(f"lambda_h must lie in [0, 1], got {self.lambda_h}")
-        if self.mode == "static" and not (BITS_MIN <= self.bits <= BITS_MAX):
-            raise ValueError(f"static bits must lie in [{BITS_MIN}, {BITS_MAX}], got {self.bits}")
 
 
 def cosine_bits(t: int, horizon: int, b_max: float, b_min: float, nu: float) -> float:

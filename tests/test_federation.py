@@ -82,11 +82,25 @@ def make_client(seed=0, n=20, client_id=0):
 
 
 def test_comm_cost_formula():
-    params = ParamSet({"w": np.ones((10, 100)), "b": np.ones(10)})
-    q = quantize_params(params, 8, np.random.default_rng(0))
-    assert comm_cost(q) == 1010 * 8 + 2 * 40
-    q32 = quantize_params(params, 32, np.random.default_rng(0))
-    assert comm_cost(q32) == 1010 * 32 + 2 * 40
+    layout = ParamSet({"w": np.ones((10, 100)), "b": np.ones(10)}).layout
+    assert comm_cost(layout, 8) == 1010 * 8 + 2 * 40
+    assert comm_cost(layout, 32) == 1010 * 32 + 2 * 40
+    for bad in (1, 33, 8.5):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            comm_cost(layout, bad)
+
+
+def test_train_round_refuses_an_upload_at_another_width(monkeypatch):
+    # a client that quantizes one bit wider than it was told is caught
+    # before the round is priced
+    honest = federation.client_update
+
+    def wider(global_params, client, cfg, t, bits):
+        return honest(global_params, client, cfg, t, bits + 1)
+
+    monkeypatch.setattr(federation, "client_update", wider)
+    with pytest.raises(ValueError, match="uploaded at 9 bits, not the 8 decided"):
+        run_experiment(make_config(rounds=1, mode="static", bits=8))
 
 
 # --- selection ---------------------------------------------------------------
@@ -171,7 +185,7 @@ def test_client_update_bits_and_size():
         for bits in range(2, 33):
             upload = client_update(global_params, client, cfg, 5, bits)
             assert upload.bits == bits
-            assert comm_cost(upload) == 9 * bits + 2 * 40
+            assert comm_cost(upload.layout, upload.bits) == 9 * bits + 2 * 40
 
 
 def test_client_update_deterministic():
@@ -308,7 +322,7 @@ def test_bit_accounting_reconstructed_from_streams():
     params0 = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
     b0 = schedule_bits(cfg.schedule, 0, cfg.rounds)
     q_global = quantize_params(params0, b0, streams.substream(cfg.seed, streams.SERVER_ROUNDING, 0))
-    expected_down = cfg.clients_per_round * comm_cost(q_global)
+    expected_down = cfg.clients_per_round * comm_cost(q_global.layout, q_global.bits)
     assert records[0].downlink_bits == expected_down
 
     ids = select_clients(cfg.num_clients, cfg.clients_per_round, 0, cfg.seed)
@@ -322,7 +336,7 @@ def test_bit_accounting_reconstructed_from_streams():
             label_counts=label_histogram(train, parts[i]),
         )
         upload = client_update(dequantize_params(q_global), client, cfg, 0, b0)
-        expected_up += comm_cost(upload)
+        expected_up += comm_cost(upload.layout, upload.bits)
     assert records[0].uplink_bits == expected_up
 
     # dynamic mode: every upload width from an importance written out by

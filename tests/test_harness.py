@@ -146,6 +146,11 @@ def test_constraint_violations_name_the_problem():
         parse_config_dict({"partition": {"scheme": "power_law", "exponent": -1.0}})
     # a scheme reads only its own parameter, so the other one is not checked
     assert parse_config_dict({"partition": {"scheme": "power_law", "alpha": -1.0}}).partition.alpha == -1.0
+    # likewise a schedule mode: static never reads lambda_h, dynamic does
+    static = {"mode": "static", "bits": 8, "lambda_h": 2.0}
+    assert parse_config_dict({"schedule": static}).schedule.lambda_h == 2.0
+    with pytest.raises(ConfigError, match="lambda_h must lie in"):
+        parse_config_dict({"schedule": {**static, "mode": "dynamic"}})
     # an explicit model must fit the blobs, and the blobs must cover the clients
     model = {"kind": "logistic", "input_dim": 2, "num_classes": 3}
     with pytest.raises(ConfigError, match="model input_dim 2 != data input_dim 3"):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from fedqdp.models import Layout, ModelSpec, ParamSet, init_params
 from fedqdp.quantize import (
     QuantizedParamSet,
-    _round_clip,
     code_dtype,
     comm_cost,
     dequantize_params,
@@ -87,13 +86,34 @@ def test_stochastic_round_rejects_non_finite():
         stochastic_round(np.nan, rng)
 
 
-def test_round_clip_handles_boundary_uniform():
-    # u exactly 0 rounds integers down to themselves, never up
-    scaled = np.array([2.0, -2.0, 2.5])
-    u = np.zeros(3)
-    out = _round_clip(scaled, u, 8)
-    assert np.array_equal(out, [2, -2, 3])  # frac 0.5 > u=0 rounds up
-    assert out.dtype == np.int8
+class FixedUniforms:
+    """Stands in for a Generator whose random(n) returns chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+def test_quantize_params_handles_boundary_uniform():
+    # 3 bits and max|x| = 3 give scale 1; u exactly 0 leaves integers and
+    # the bound where they are, and rounds any fraction up
+    q = quantize_params(ParamSet({"t": [2.0, -2.0, 2.5, -2.5, 3.0]}), 3,
+                        FixedUniforms(np.zeros(5)))
+    assert q.scales.tolist() == [1.0]
+    assert q.codes.tolist() == [2, -2, 3, -2, 3]
+    assert q.codes.dtype == np.int8
+    # at 4 bits, max|x| = 0.3 scales to 7.000000000000001, one ulp past the
+    # bound 7: u = 0 rounds it up to 8, and the clip brings it back to 7
+    q = quantize_params(ParamSet({"t": [0.3, -0.3]}), 4, FixedUniforms(np.zeros(2)))
+    assert 0.3 * q.scales[0] > 7
+    assert q.codes.tolist() == [7, -7]
+    # u just below 1 rounds every fraction down
+    q = quantize_params(ParamSet({"t": [2.5, -2.5, 3.0]}), 3,
+                        FixedUniforms(np.full(3, np.nextafter(1.0, 0.0))))
+    assert q.codes.tolist() == [2, -3, 3]
 
 
 def test_clip_int_examples():
@@ -329,9 +349,11 @@ def test_codes_held_at_metered_width_and_decode_exactly():
         assert q.codes.dtype == code_dtype(bits)
         bound = 2 ** (bits - 1) - 1
         assert np.abs(q.codes.astype(np.int64)).max() == bound  # max|x| maps to the bound
-        wide = np.repeat(q.scales, q.layout.sizes)
-        np.divide(q.codes.astype(np.int64), wide, out=wide)
-        assert np.array_equal(dequantize_params(q).vector, wide)
+        wide = q.codes.astype(np.int64)
+        expected = np.concatenate([wide[offset : offset + size] / scale
+                                   for (_, _, offset, size), scale
+                                   in zip(q.layout.entries, q.scales.tolist())])
+        assert np.array_equal(dequantize_params(q).vector, expected)
 
 
 def test_quantized_param_set_checks_range_at_every_width():
@@ -384,9 +406,10 @@ def unpack_message(data: bytes, layout: Layout) -> tuple[list[int], list[int], i
 def test_comm_cost_is_the_length_of_a_bit_packed_message():
     """Packing each tensor as an 8-bit width tag, a 32-bit scale field and
     b-bit two's-complement codes takes ceil(comm_cost / 8) bytes at every
-    width, and unpacking returns the codes and the width exactly. The
-    scales are not compared: the simulation encodes with float64 scales,
-    which the fp32 field does not hold exactly (ROADMAP item 6)."""
+    width, with comm_cost priced from the layout and the width alone, and
+    unpacking returns the codes and the width exactly. The scales are not
+    compared: the simulation encodes with float64 scales, which the fp32
+    field does not hold exactly (ROADMAP item 6)."""
     logistic = init_params(ModelSpec("logistic", input_dim=6, num_classes=4),
                            np.random.default_rng(21))
     mlp = init_params(ModelSpec("mlp", input_dim=6, num_classes=4, hidden_dim=9),
@@ -398,8 +421,9 @@ def test_comm_cost_is_the_length_of_a_bit_packed_message():
         for bits in range(2, 33):
             q = quantize_params(params, bits, np.random.default_rng(bits))
             packed = pack_message(q)
-            assert len(packed) == math.ceil(comm_cost(q) / 8)
+            cost = comm_cost(q.layout, q.bits)
+            assert len(packed) == math.ceil(cost / 8)
             codes, widths, read = unpack_message(packed, q.layout)
-            assert read == comm_cost(q)
+            assert read == cost
             assert widths == [bits] * len(q.layout)
             assert codes == q.codes.tolist()

@@ -23,9 +23,16 @@ def test_schedule_config_validation():
     with pytest.raises(ValueError):
         ScheduleConfig(mode="cosine", b_min=1)
     with pytest.raises(ValueError):
-        ScheduleConfig(mode="cosine", lambda_h=1.5)
+        ScheduleConfig(mode="dynamic", b_min=16, b_max=8)
+    with pytest.raises(ValueError):
+        ScheduleConfig(mode="dynamic", lambda_h=1.5)
     with pytest.raises(ValueError):
         ScheduleConfig(mode="static", bits=33)
+    # each mode checks only the fields it reads: static reads bits alone,
+    # and cosine does not read lambda_h
+    ScheduleConfig(mode="cosine", lambda_h=1.5)
+    ScheduleConfig(mode="static", bits=8, lambda_h=2.0)
+    ScheduleConfig(mode="static", bits=8, b_min=16, b_max=8)
 
 
 def test_cosine_bits_endpoints_exact():
