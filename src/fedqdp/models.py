@@ -239,26 +239,15 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarra
     return loss, ParamSet.from_vector(layout, flat)
 
 
-def _segment_l1(layout: Layout, magnitudes: np.ndarray) -> float:
-    """Sum each tensor's segment on its own and add the sums in layout order."""
-    return float(sum(np.add.reduce(magnitudes[off : off + size])
-                     for _, _, off, size in layout.entries))
-
-
 def l1_norm(params: ParamSet) -> float:
-    """Sum of absolute values over every element of every tensor.
-
-    Each tensor's segment is summed on its own and the segment sums are
-    added in layout order. A single sum over the whole vector, or
-    np.add.reduceat, rounds differently and would move every quantity
-    derived from the norm.
-    """
-    return _segment_l1(params.layout, np.abs(params.vector))
+    """Sum of absolute values over every element of every tensor, taken
+    as one sum over the flat vector."""
+    return float(np.add.reduce(np.abs(params.vector)))
 
 
 def l1_distance(a: ParamSet, b: ParamSet) -> float:
-    """The L1 norm of the elementwise difference a - b, summed per tensor
-    like l1_norm, without building a difference set.
+    """The L1 norm of the elementwise difference a - b, summed over the
+    flat vector like l1_norm, without building a difference set.
 
     Raises ShapeMismatchError when the sets do not conform, and ValueError
     naming the tensor when an element of the difference overflows.
@@ -266,7 +255,7 @@ def l1_distance(a: ParamSet, b: ParamSet) -> float:
     a._require_conformable(b)
     diff = a.vector - b.vector
     np.abs(diff, out=diff)
-    total = _segment_l1(a.layout, diff)
+    total = float(np.add.reduce(diff))
     # finite - finite is finite or +-inf, so only an infinite total needs a look
     if total == np.inf and np.isinf(diff).any():
         bad = next(name for name, _, off, size in a.layout.entries
@@ -279,16 +268,12 @@ def clip_gradient_l1(grad: ParamSet, xi: float) -> ParamSet:
     """Hard-bound the gradient's L1 norm at xi, which must be positive
     (DpConfig ensures it).
 
-    Returns grad unchanged when the norm is already within the bound,
-    otherwise rescales onto the bound. Rescaling repeats if float rounding
-    leaves the norm a few ulp above xi, which makes the operation exactly
-    idempotent.
+    Returns grad itself when the norm is already within the bound,
+    otherwise rescales onto the bound. Rescaling repeats while float
+    rounding leaves the norm a few ulp above xi, which makes the operation
+    exactly idempotent.
     """
-    norm = l1_norm(grad)
-    if norm <= xi:
-        return grad
-    out = grad.scale(xi / norm)
-    norm = l1_norm(out)
+    out, norm = grad, l1_norm(grad)
     while norm > xi:
         out = out.scale(xi / norm)
         norm = l1_norm(out)

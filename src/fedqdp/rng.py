@@ -23,8 +23,9 @@ CLIENT_BATCHING = 7
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Return the generator for the stream identified by (seed, *path)."""
-    entropy = [int(seed)] + [int(p) for p in path]
-    if any(e < 0 for e in entropy):
-        raise ValueError(f"stream path entries must be non-negative, got {entropy}")
-    return np.random.default_rng(entropy)
+    """Return the generator for the stream identified by (seed, *path).
+
+    Every entry must be a non-negative integer; SeedSequence raises
+    ValueError for a negative one.
+    """
+    return np.random.default_rng([seed, *path])

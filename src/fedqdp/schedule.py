@@ -87,13 +87,12 @@ def client_importance(label_counts: np.ndarray, n_max: int, lambda_h: float) -> 
 def schedule_bits(cfg: ScheduleConfig, t: int, rounds: int, nu: float = 1.0) -> int:
     """Integer bit width for round t of a run of the given number of rounds.
 
-    static ignores t; cosine anneals with full weight; dynamic damps the
-    annealed term by the client importance nu. nu defaults to 1.0, the
-    full weight the broadcast goes at, where dynamic equals cosine.
+    static ignores t and nu; cosine and dynamic anneal, with the annealed
+    term damped by nu. nu defaults to 1.0, the full weight the broadcast
+    goes at; the round loop passes a client's importance only for dynamic
+    uploads.
     """
     if cfg.mode == "static":
         return cfg.bits
-    if cfg.mode == "cosine":
-        nu = 1.0
     horizon = max(rounds - 1, 1)
     return round_bits(cosine_bits(t, horizon, cfg.b_max, cfg.b_min, nu), cfg.b_min, cfg.b_max)

@@ -9,6 +9,7 @@ from time import perf_counter
 
 import numpy as np
 from test_data import label_histogram
+from test_privacy import exhaustive_e0, oracle_sensitivity
 
 from fedqdp import rng as streams
 from fedqdp.cli import main as cli_main
@@ -136,24 +137,6 @@ def test_acceptance_3_quantization_unbiased_and_bounded():
             ok, f"worst mean-err {worst_mean:.3f} of tol, worst roundtrip {worst_round:.6f}/s, {elapsed:.1f}s")
 
 
-def _exhaustive_e0(lam, eta, n):
-    growth = 1.0 + lam * eta
-    e = 0
-    while growth**e < 1.0 + n:
-        e += 1
-    return e
-
-
-def _oracle_sensitivity(lam, eta, epochs, n, xi):
-    if lam == 0.0:
-        return 2.0 * xi * epochs * eta / n
-    growth = 1.0 + lam * eta
-    e0 = _exhaustive_e0(lam, eta, n)
-    if epochs < e0:
-        return (2.0 * xi / (lam * n)) * (growth**epochs - 1.0)
-    return 2.0 * xi + 2.0 * eta * xi * (epochs - e0)
-
-
 def test_acceptance_4_sensitivity_oracle_and_continuity():
     rng = np.random.default_rng(7)
     ok = True
@@ -164,7 +147,7 @@ def test_acceptance_4_sensitivity_oracle_and_continuity():
         n = int(rng.integers(1, 10_000))
         xi = 10.0 ** rng.uniform(-1, 3)
         got = sensitivity(lam, eta, epochs, n, xi)
-        want = _oracle_sensitivity(lam, eta, epochs, n, xi)
+        want = oracle_sensitivity(lam, eta, epochs, n, xi)
         ok = ok and abs(got - want) <= 1e-8 * max(want, 1e-300)
 
     worst_cont = 0.0
@@ -180,7 +163,7 @@ def test_acceptance_4_sensitivity_oracle_and_continuity():
         lam = 10.0 ** rng.uniform(-2, 1)
         eta = 10.0 ** rng.uniform(-1, 0)
         n = int(rng.integers(1, 10_000))
-        e0_ok = e0_ok and compute_e0(lam, eta, n) == _exhaustive_e0(lam, eta, n)
+        e0_ok = e0_ok and compute_e0(lam, eta, n) == exhaustive_e0(lam, eta, n)
     ok = ok and e0_ok
     _report(4, "sensitivity branches vs oracle, continuity, E0 exhaustive",
             ok, f"worst continuity rel err {worst_cont:.2e}")

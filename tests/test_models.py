@@ -250,12 +250,16 @@ def test_l1_norm_examples():
     assert l1_norm(ParamSet({"a": np.zeros(5)})) == 0.0
 
 
-def test_l1_norm_equals_per_tensor_sums():
-    # at this size and seed one sum over the whole vector rounds differently
+def test_l1_norm_is_one_sum_over_the_vector():
     spec = ModelSpec("mlp", input_dim=64, num_classes=10, hidden_dim=256)
     params = init_params(spec, np.random.default_rng(3))
-    tensors = [params[name] for name in params.layout.names]
-    assert l1_norm(params) == sum(np.abs(v).sum() for v in tensors)
+    whole = np.add.reduce(np.abs(params.vector))
+    # at this size and seed per-tensor sums round differently, so the
+    # equality below pins the summation order
+    per_tensor = sum(np.add.reduce(np.abs(params.vector[off : off + size]))
+                     for _, _, off, size in params.layout.entries)
+    assert whole != per_tensor
+    assert l1_norm(params) == whole
 
 
 def test_l1_distance_equals_norm_of_difference():
@@ -311,12 +315,15 @@ def test_clip_example_and_passthrough():
 @given(st.integers(0, 2**32 - 1), st.floats(0.01, 50.0))
 def test_clip_bounds_norm_and_is_idempotent(seed, xi):
     rng = np.random.default_rng(seed)
-    g = ParamSet({"w": rng.standard_normal((3, 2)) * 10, "b": rng.standard_normal(3)})
-    once = clip_gradient_l1(g, xi)
-    assert l1_norm(once) <= xi or l1_norm(g) <= xi
-    twice = clip_gradient_l1(once, xi)
-    for name in once.layout.names:
-        assert np.array_equal(once[name], twice[name])
+    small = ParamSet({"w": rng.standard_normal((3, 2)) * 10, "b": rng.standard_normal(3)})
+    # mlp_dp's 64-128-10 layout, 9,610 elements, from well within to far above xi
+    layout = init_params(ModelSpec("mlp", input_dim=64, num_classes=10, hidden_dim=128), rng).layout
+    wide = ParamSet.from_vector(layout, rng.standard_normal(layout.size) * 10.0 ** rng.uniform(-6, 0))
+    for g in (small, wide):
+        once = clip_gradient_l1(g, xi)
+        assert l1_norm(once) <= xi or l1_norm(g) <= xi
+        twice = clip_gradient_l1(once, xi)
+        assert np.array_equal(once.vector, twice.vector)
 
 
 def test_clipped_norm_never_exceeds_bound_bulk():

@@ -169,3 +169,7 @@ def test_schedule_bits_dynamic_without_importance_equals_cosine():
     assert widths == [schedule_bits(cos, t, 40) for t in range(40)]
     assert widths == [schedule_bits(dyn, t, 40, 1.0) for t in range(40)]
     assert widths[0] == 32 and widths[-1] == 4
+    # cosine damps by nu like dynamic; the round loop decides who passes it
+    for nu in (0.0, 0.3, 0.75):
+        assert ([schedule_bits(cos, t, 40, nu) for t in range(40)]
+                == [schedule_bits(dyn, t, 40, nu) for t in range(40)])
