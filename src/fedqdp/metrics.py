@@ -68,20 +68,25 @@ def write_records(records: list[RoundRecord], path: str | Path) -> None:
 def _parse_cell(key: str, cell: str, where: str):
     """A csv cell as the value it was written from: an integer for t and the
     bit columns, a number for mean_bits, a number or None (blank) for the
-    accuracies. Every number must be finite and non-negative; any other
-    cell raises ValueError naming where and the column."""
+    accuracies. Every number must be finite and non-negative and written
+    in ASCII digits, with one decimal point at most and none in the integer
+    columns; any other cell raises ValueError naming where and the column."""
     if cell == "" and key in _ACC_COLUMNS:
         return None
+    is_int = key in _INT_COLUMNS
+    need = ("an integer" if is_int else "a number") + (" or blank" if key in _ACC_COLUMNS else "")
     try:
-        value = int(cell) if key in _INT_COLUMNS else float(cell)
+        value = int(cell) if is_int else float(cell)
     except ValueError:
-        need = "an integer" if key in _INT_COLUMNS else "a number"
-        if key in _ACC_COLUMNS:
-            need += " or blank"
         raise ValueError(f"{where}: {key} must be {need}, got {cell or None!r}") from None
     # false for nan as well as for negative and infinite values
     if not 0 <= value < float("inf"):
         raise ValueError(f"{where}: {key} must be finite and non-negative, got {value!r}")
+    # int() and float() also take signs, spaces, underscores, exponents and
+    # non-ASCII digits, none of which write_records writes
+    digits = cell if is_int else cell.replace(".", "", 1)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{where}: {key} must be {need}, got {cell!r}")
     return value
 
 

@@ -592,7 +592,16 @@ def test_cli_compare_refuses_values_of_the_wrong_type(tmp_path, capsys):
                          "test_acc must be a number or blank, got 'high'"),
         "float_t.csv": (f"{header}\n1.0,1,2,3.0,,", "t must be an integer, got '1.0'"),
         "blank_mean.csv": (f"{header}\n0,1,2,,,", "mean_bits must be a number, got None"),
+        "underscore_mean.csv": (f"{header}\n0,1,2,1_0.5,,",
+                                "mean_bits must be a number, got '1_0.5'"),
     }
+    # int() and float() accept these, but write_records never writes them
+    good_row = ["0", "1", "2", "3.0", "0.5", "0.5"]
+    for column, key in enumerate(header.split(",")):
+        need = ("an integer" if column < 3 else "a number") + (" or blank" if column > 3 else "")
+        for i, cell in enumerate(["1_000", " 7 ", "+7", "\uff17"]):
+            row = good_row[:column] + [cell] + good_row[column + 1:]
+            bad[f"{key}_{i}.csv"] = (f"{header}\n{','.join(row)}", f"{key} must be {need}, got {cell!r}")
     for name, (text, message) in bad.items():
         path = tmp_path / name
         path.write_text(text + "\n")
