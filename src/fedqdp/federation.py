@@ -1,10 +1,11 @@
 """Federated averaging over quantized links with exact bit accounting.
 
-Each round the server picks a client subset and decides the broadcast
-width and every upload width, broadcasts quantized global parameters,
-clients train locally (optionally clipping gradients and adding Laplace
-noise before upload) and quantize at the width they are handed, and the
-server averages the dequantized uploads weighted by dataset size. Every
+A client is its id and its shard, its row indices into the shared
+training set. Each round the server picks a client subset and decides the
+broadcast width and every upload width, broadcasts quantized global
+parameters, clients train locally (optionally clipping gradients and adding
+Laplace noise before upload) and quantize at the width they are handed, and
+the server averages the dequantized uploads weighted by shard size. Every
 message is metered by quantize.comm_cost from the parameters' layout and
 the width decided for it.
 """
@@ -17,6 +18,7 @@ import numpy as np
 
 from fedqdp import rng as streams
 from fedqdp.data import (
+    IdxParseError,
     LabeledDataset,
     dirichlet_partition,
     load_idx,
@@ -152,25 +154,6 @@ class RoundRecord:
     train_acc: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class ClientData:
-    """One client's shard plus its label histogram.
-
-    The shard is the client's row indices into the shared training set;
-    batches gather their rows from it, so the training set is held once
-    however it is partitioned.
-    """
-
-    client_id: int
-    dataset: LabeledDataset
-    indices: np.ndarray
-    label_counts: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.indices.shape[0]
-
-
 def select_clients(num_clients: int, per_round: int, t: int, seed: int) -> np.ndarray:
     """Uniform sample of per_round distinct client ids, sorted ascending.
 
@@ -185,12 +168,9 @@ def evaluate(spec: ModelSpec, params: ParamSet, dataset: LabeledDataset) -> floa
 
     The forward pass runs over consecutive blocks of EVAL_ROWS rows, the
     last one possibly shorter, so it holds one hidden activation of at
-    most EVAL_ROWS rows: a traced peak of 0.32 MiB at 256 hidden units and
-    0.19 MiB at 128. The correct predictions are counted exactly over the
-    blocks. A block's logits may differ from a one-pass matmul's in the
-    last bits, as BLAS may sum fewer rows in another order; tier-1 and the
-    golden digests pass under OpenBLAS's SkylakeX, Zen, Prescott, Nehalem,
-    Core2 and Barcelona kernels.
+    most EVAL_ROWS rows, and the correct predictions are counted exactly
+    over the blocks. A block's logits are not claimed to equal a one-pass
+    matmul's in the last bits.
     """
     n = len(dataset)
     if n == 0:
@@ -205,14 +185,16 @@ def evaluate(spec: ModelSpec, params: ParamSet, dataset: LabeledDataset) -> floa
 
 def client_update(
     global_params: ParamSet,
-    client: ClientData,
+    train: LabeledDataset,
+    shard: np.ndarray,
+    client_id: int,
     cfg: ExperimentConfig,
     t: int,
     bits: int,
 ) -> QuantizedParamSet:
-    """One client's round: local SGD from the dequantized broadcast, then
-    optional Laplace perturbation, then the upload quantized at the given
-    width, which the round loop decided.
+    """One client's round on its shard of train: local SGD from the
+    dequantized broadcast, then optional Laplace perturbation, then the
+    upload quantized at the given width, which the round loop decided.
 
     The sample order is shuffled once per round and reused for every local
     epoch, so an epoch pair visits identical batches and their gradient
@@ -220,13 +202,11 @@ def client_update(
     streams keyed on (seed, purpose, t, client_id).
     """
     params = global_params
-    n_i = client.size
-    order = streams.substream(
-        cfg.seed, streams.CLIENT_BATCHING, t, client.client_id
-    ).permutation(n_i)
-    rows = client.indices[order]
+    n_i = shard.size
+    order = streams.substream(cfg.seed, streams.CLIENT_BATCHING, t, client_id).permutation(n_i)
+    rows = shard[order]
     batches = [rows[s : s + cfg.batch_size] for s in range(0, n_i, cfg.batch_size)]
-    features, labels = client.dataset.features, client.dataset.labels
+    features, labels = train.features, train.labels
 
     trace = BatchTrace() if cfg.dp is not None else None
     for _ in range(cfg.local_epochs):
@@ -243,11 +223,11 @@ def client_update(
             sens, cfg.dp, cfg.clients_per_round, cfg.rounds, cfg.num_clients, cfg.local_epochs
         )
         params = params + laplace_noise(
-            scale, params, streams.substream(cfg.seed, streams.CLIENT_NOISE, t, client.client_id)
+            scale, params, streams.substream(cfg.seed, streams.CLIENT_NOISE, t, client_id)
         )
 
     return quantize_params(
-        params, bits, streams.substream(cfg.seed, streams.CLIENT_ROUNDING, t, client.client_id)
+        params, bits, streams.substream(cfg.seed, streams.CLIENT_ROUNDING, t, client_id)
     )
 
 
@@ -269,8 +249,8 @@ def make_datasets(
     data_cfg: BlobsConfig | IdxConfig, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Build (train, test). Blob draws use dedicated streams off the seed,
-    0 for train and 1 for test; IDX files are loaded as-is with a shared
-    class count."""
+    0 for train and 1 for test. IDX splits get a shared class count, and
+    test images sized unlike the training images raise IdxParseError."""
     if isinstance(data_cfg, BlobsConfig):
         return tuple(
             synthetic_blobs(data_cfg.num_classes, data_cfg.input_dim, per_class, data_cfg.spread,
@@ -281,6 +261,9 @@ def make_datasets(
         (data_cfg.train_images, data_cfg.train_labels),
         (data_cfg.test_images, data_cfg.test_labels),
     )]
+    if splits[1].input_dim != splits[0].input_dim:
+        raise IdxParseError(f"{data_cfg.test_images}: images of {splits[1].input_dim} pixels, "
+                            f"but the training images have {splits[0].input_dim}")
     k = max(s.num_classes for s in splits)
     return tuple(s if s.num_classes == k else LabeledDataset(s.features, s.labels, k)
                  for s in splits)
@@ -295,48 +278,50 @@ def partition_dataset(train: LabeledDataset, cfg: ExperimentConfig) -> list[np.n
     )
 
 
-def _train_round(
-    params: ParamSet, clients: list[ClientData], cfg: ExperimentConfig, t: int
-) -> tuple[ParamSet, RoundRecord]:
+def _train_round(params: ParamSet, train: LabeledDataset, shards: list[np.ndarray],
+                 cfg: ExperimentConfig, t: int) -> tuple[ParamSet, RoundRecord]:
     """One round up to aggregation: broadcast, local training, upload.
 
     Every width of the round is decided here, before any client trains:
     the broadcast at the schedule's full weight, b_t. Every upload goes at
     b_t too, except in dynamic mode, where each is damped by its client's
-    importance (label entropy mixed with the dataset size relative to the
+    importance (the entropy of its shard's label histogram, built for the
+    round's clients only, mixed with its shard size relative to the
     round's largest). Every message is priced from the layout and the
     width decided for it, and an upload quantized at any other width is
     refused. Returns the aggregated parameters and the round's record,
     with both accuracies None. The broadcast and the uploads are
     locals, so they are freed on return, before the caller evaluates.
     """
-    ids = select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)
-    selected = [clients[i] for i in ids]
+    ids = [int(i) for i in select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)]
+    sizes = [shards[i].size for i in ids]
     sched = cfg.schedule
     b_t = schedule_bits(sched, t, cfg.rounds)
     if sched.mode == "dynamic":
-        n_max = max(c.size for c in selected)
-        nus = [client_importance(c.label_counts, n_max, sched.lambda_h) for c in selected]
+        n_max = max(sizes)
+        nus = [client_importance(np.bincount(train.labels[shards[i]], minlength=train.num_classes),
+                                 n_max, sched.lambda_h) for i in ids]
         upload_bits = [schedule_bits(sched, t, cfg.rounds, nu) for nu in nus]
     else:
-        upload_bits = [b_t] * len(selected)
+        upload_bits = [b_t] * len(ids)
 
     q_global = quantize_params(params, b_t, streams.substream(cfg.seed, streams.SERVER_ROUNDING, t))
     # every client decodes the same broadcast; ParamSets are read-only,
     # so one decoded copy is shared
     global_params = dequantize_params(q_global)
-    uploads = [client_update(global_params, c, cfg, t, b) for c, b in zip(selected, upload_bits)]
-    for c, q, b in zip(selected, uploads, upload_bits):
+    uploads = [client_update(global_params, train, shards[i], i, cfg, t, b)
+               for i, b in zip(ids, upload_bits)]
+    for i, q, b in zip(ids, uploads, upload_bits):
         if q.bits != b:
-            raise ValueError(f"client {c.client_id} uploaded at {q.bits} bits, not the {b} decided")
+            raise ValueError(f"client {i} uploaded at {q.bits} bits, not the {b} decided")
     record = RoundRecord(
         t=t,
-        selected=tuple(int(i) for i in ids),
+        selected=tuple(ids),
         downlink_bits=cfg.clients_per_round * comm_cost(params.layout, b_t),
         uplink_bits=sum(comm_cost(params.layout, b) for b in upload_bits),
         mean_bits=round(float(np.mean(upload_bits)), 6),
     )
-    return aggregate(uploads, [c.size for c in selected]), record
+    return aggregate(uploads, sizes), record
 
 
 def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
@@ -358,17 +343,12 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
         raise ValueError(
             f"model num_classes {cfg.model.num_classes} != dataset classes {train.num_classes}"
         )
-    parts = partition_dataset(train, cfg)
-    clients = [
-        ClientData(client_id=i, dataset=train, indices=p,
-                   label_counts=np.bincount(train.labels[p], minlength=train.num_classes))
-        for i, p in enumerate(parts)
-    ]
+    shards = partition_dataset(train, cfg)
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
 
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
-        params, record = _train_round(params, clients, cfg, t)
+        params, record = _train_round(params, train, shards, cfg, t)
         if (t + 1) % cfg.eval_every == 0 or t == cfg.rounds - 1:
             test_acc = round(evaluate(cfg.model, params, test), 6)
             train_acc = round(evaluate(cfg.model, params, train), 6)

@@ -158,10 +158,19 @@ def noise_scale(
     return scale
 
 
-def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
-    """Map uniforms on (-1/2, 1/2) to Laplace(0, scale) via the inverse CDF:
-    -scale * sign(u) * log(max(1 - 2|u|, floor)), evaluated in that order
-    in two buffers."""
+def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> ParamSet:
+    """Laplace(0, scale) noise shaped like the given parameters.
+
+    Sampled by inverse CDF from uniforms u on (-1/2, 1/2), one draw over
+    the whole vector in layout order (the same stream as one draw per
+    tensor in turn): -scale * sign(u) * log(max(1 - 2|u|, floor)),
+    evaluated in that order in two buffers. Scale 0 draws its uniforms
+    like any other scale and gives zeros, some of which may be -0.0.
+    """
+    if not np.isfinite(scale) or scale < 0:
+        raise ValueError(f"scale must be non-negative and finite, got {scale}")
+    u = rng.random(like.num_elements)
+    u -= 0.5
     inner = np.abs(u)
     inner *= 2.0
     np.subtract(1.0, inner, out=inner)
@@ -170,19 +179,4 @@ def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
     out = np.sign(u)
     out *= -scale
     out *= inner
-    return out
-
-
-def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> ParamSet:
-    """Laplace(0, scale) noise shaped like the given parameters.
-
-    Sampled by inverse CDF from uniforms on (-1/2, 1/2), one draw over the
-    whole vector in layout order (the same stream as one draw per tensor
-    in turn). Scale 0 draws its uniforms like any other scale and gives
-    zeros, some of which may be -0.0.
-    """
-    if not np.isfinite(scale) or scale < 0:
-        raise ValueError(f"scale must be non-negative and finite, got {scale}")
-    u = rng.random(like.num_elements)
-    u -= 0.5
-    return ParamSet.from_vector(like.layout, _laplace_from_uniform(u, scale))
+    return ParamSet.from_vector(like.layout, out)

@@ -33,7 +33,7 @@ def test_labeled_dataset_validation():
 
 def label_histogram(dataset, indices=None):
     """Per-class sample counts, over the whole dataset or an index subset:
-    the oracle for a client's label_counts."""
+    the oracle for the label histogram of a client's shard."""
     labels = dataset.labels if indices is None else dataset.labels[np.asarray(indices)]
     return np.bincount(labels, minlength=dataset.num_classes).astype(np.int64)
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -18,11 +19,10 @@ import fedqdp
 from fedqdp import federation
 from fedqdp import rng as streams
 from fedqdp.config import parse_config_dict
-from fedqdp.data import LabeledDataset
+from fedqdp.data import IdxParseError, LabeledDataset
 from fedqdp.federation import (
     EVAL_ROWS,
     BlobsConfig,
-    ClientData,
     ExperimentConfig,
     IdxConfig,
     PartitionConfig,
@@ -65,16 +65,11 @@ def make_config(rounds=10, mode="static", bits=32, dp=None, seed=0, **kw):
 
 
 def make_client(seed=0, n=20, client_id=0):
+    """(train, shard, client_id) for a client that holds all n rows."""
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, 2))
     labels = rng.integers(0, 3, size=n).astype(np.int64)
-    counts = np.bincount(labels, minlength=3).astype(np.int64)
-    return ClientData(
-        client_id=client_id,
-        dataset=LabeledDataset(features, labels, 3),
-        indices=np.arange(n),
-        label_counts=counts,
-    )
+    return LabeledDataset(features, labels, 3), np.arange(n), client_id
 
 
 # --- costs -------------------------------------------------------------------
@@ -94,8 +89,8 @@ def test_train_round_refuses_an_upload_at_another_width(monkeypatch):
     # before the round is priced
     honest = federation.client_update
 
-    def wider(global_params, client, cfg, t, bits):
-        return honest(global_params, client, cfg, t, bits + 1)
+    def wider(global_params, train, shard, client_id, cfg, t, bits):
+        return honest(global_params, train, shard, client_id, cfg, t, bits + 1)
 
     monkeypatch.setattr(federation, "client_update", wider)
     with pytest.raises(ValueError, match="uploaded at 9 bits, not the 8 decided"):
@@ -182,7 +177,7 @@ def test_client_update_bits_and_size():
     for mode in ("static", "cosine", "dynamic"):
         cfg = make_config(rounds=10, mode=mode, bits=8)
         for bits in range(2, 33):
-            upload = client_update(global_params, client, cfg, 5, bits)
+            upload = client_update(global_params, *client, cfg, 5, bits)
             assert upload.bits == bits
             assert comm_cost(upload.layout, upload.bits) == 9 * bits + 2 * 40
 
@@ -191,21 +186,22 @@ def test_client_update_deterministic():
     cfg = make_config(rounds=10)
     client = make_client(n=20)
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
-    a = client_update(dequantize_params(q_global), client, cfg, t=3, bits=32)
-    b = client_update(dequantize_params(q_global), client, cfg, t=3, bits=32)
+    a = client_update(dequantize_params(q_global), *client, cfg, t=3, bits=32)
+    b = client_update(dequantize_params(q_global), *client, cfg, t=3, bits=32)
     assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.scales, b.scales)
-    c = client_update(dequantize_params(q_global), client, cfg, t=4, bits=32)
+    c = client_update(dequantize_params(q_global), *client, cfg, t=4, bits=32)
     assert not np.array_equal(a.codes, c.codes)
 
 
 def test_client_update_trains_on_local_data():
     cfg = make_config(rounds=10, mode="static", bits=32, local_epochs=5)
-    client = make_client(n=40)
+    train, shard, client_id = make_client(n=40)
     params0 = init_params(MODEL, np.random.default_rng(0))
     q_global = quantize_params(params0, 32, np.random.default_rng(1))
-    trained = dequantize_params(client_update(dequantize_params(q_global), client, cfg, t=0, bits=32))
-    x, y = client.dataset.features[client.indices], client.dataset.labels[client.indices]
+    trained = dequantize_params(
+        client_update(dequantize_params(q_global), train, shard, client_id, cfg, t=0, bits=32))
+    x, y = train.features[shard], train.labels[shard]
     loss_before, _ = loss_and_grad(MODEL, params0, x, y)
     loss_after, _ = loss_and_grad(MODEL, trained, x, y)
     assert loss_after < loss_before
@@ -218,7 +214,7 @@ def test_client_update_tiny_epsilon_noise_dominates():
 
     def run(eps):
         cfg = make_config(rounds=10, mode="static", bits=32, dp=DpConfig(epsilon=eps, xi=100.0))
-        return dequantize_params(client_update(dequantize_params(q_global), client, cfg, 0, 32))
+        return dequantize_params(client_update(dequantize_params(q_global), *client, cfg, 0, 32))
 
     nearly_noiseless = run(1e30)
     noisy = run(1e-6)
@@ -232,8 +228,8 @@ def test_client_update_dp_changes_result():
     cfg_dp = make_config(rounds=10, mode="static", bits=32, dp=DpConfig(epsilon=10.0, xi=100.0))
     client = make_client(n=20)
     q_global = quantize_params(init_params(MODEL, np.random.default_rng(0)), 32, np.random.default_rng(1))
-    plain = dequantize_params(client_update(dequantize_params(q_global), client, cfg_plain, 0, 32))
-    noisy = dequantize_params(client_update(dequantize_params(q_global), client, cfg_dp, 0, 32))
+    plain = dequantize_params(client_update(dequantize_params(q_global), *client, cfg_plain, 0, 32))
+    noisy = dequantize_params(client_update(dequantize_params(q_global), *client, cfg_dp, 0, 32))
     assert any(not np.array_equal(plain[k], noisy[k]) for k in plain.layout.names)
 
 
@@ -328,13 +324,7 @@ def test_bit_accounting_reconstructed_from_streams():
     assert records[0].selected == tuple(int(i) for i in ids)
     expected_up = 0
     for i in ids:
-        client = ClientData(
-            client_id=int(i),
-            dataset=train,
-            indices=parts[i],
-            label_counts=label_histogram(train, parts[i]),
-        )
-        upload = client_update(dequantize_params(q_global), client, cfg, 0, b0)
+        upload = client_update(dequantize_params(q_global), train, parts[i], int(i), cfg, 0, b0)
         expected_up += comm_cost(upload.layout, upload.bits)
     assert records[0].uplink_bits == expected_up
 
@@ -425,6 +415,26 @@ def test_idx_train_and_test_share_one_class_count(tmp_path):
         data = IdxConfig(str(images), str(train_labels), str(images), str(test_labels))
         train, test = make_datasets(data, seed=0)
         assert train.num_classes == test.num_classes == 3
+
+
+def test_idx_test_images_of_another_size_are_refused(tmp_path):
+    # 2x2 training images and 3x3 test images: refused before round 0,
+    # naming the test images file and both sizes
+    train_images, test_images = tmp_path / "train.idx", tmp_path / "test.idx"
+    train_images.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(range(16)))
+    test_images.write_bytes(struct.pack(">IIII", 0x803, 4, 3, 3) + bytes(range(36)))
+    labels = tmp_path / "lab.idx"
+    labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 2, 0]))
+    data = IdxConfig(str(train_images), str(labels), str(test_images), str(labels))
+    cfg = make_config(rounds=2, data=data, num_clients=2, clients_per_round=1,
+                      model=ModelSpec("logistic", input_dim=4, num_classes=3))
+    message = re.escape(str(test_images)) + ": images of 9 pixels, but the training images have 4"
+    with pytest.raises(IdxParseError, match=message):
+        make_datasets(data, seed=0)
+    started = []
+    with pytest.raises(IdxParseError, match=message):
+        run_experiment(cfg, round_hook=lambda params, rec: started.append(rec.t))
+    assert started == []
 
 
 def test_evaluate_tie_and_accuracy():
@@ -549,23 +559,29 @@ def test_power_law_partition_experiment_runs():
     assert len(records) == 3
 
 
-@pytest.mark.parametrize("part", [PART, PartitionConfig(scheme="power_law", exponent=1.2)])
-def test_client_label_counts_match_each_shard(part, monkeypatch):
-    built = []
+@pytest.mark.parametrize("mode", ["static", "cosine", "dynamic"])
+def test_only_dynamic_rounds_read_label_histograms(mode, monkeypatch):
+    # a dynamic round hands client_importance each selected shard's label
+    # histogram, in selection order; static and cosine rounds never call it
+    seen = []
 
-    def recording_client_data(**kwargs):
-        built.append(ClientData(**kwargs))
-        return built[-1]
+    def recording_importance(label_counts, n_max, lambda_h):
+        seen.append(label_counts)
+        return client_importance(label_counts, n_max, lambda_h)
 
-    monkeypatch.setattr(federation, "ClientData", recording_client_data)
-    cfg = make_config(rounds=0, partition=part)
-    run_experiment(cfg)
-    assert [c.client_id for c in built] == list(range(cfg.num_clients))
+    monkeypatch.setattr(federation, "client_importance", recording_importance)
+    cfg = make_config(rounds=4, mode=mode, partition=PartitionConfig(scheme="power_law"))
+    records = run_experiment(cfg)
+    if mode != "dynamic":
+        assert seen == []
+        return
     train, _ = make_datasets(cfg.data, cfg.seed)
-    for client in built:
-        expected = label_histogram(train, client.indices)
-        assert client.label_counts.dtype == expected.dtype
-        assert np.array_equal(client.label_counts, expected)
+    shards = partition_dataset(train, cfg)
+    expected = [label_histogram(train, shards[i]) for r in records for i in r.selected]
+    assert len(seen) == len(expected) == cfg.rounds * cfg.clients_per_round
+    for got, want in zip(seen, expected):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_run_does_not_import_numpy_ma():

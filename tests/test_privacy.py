@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from test_models import reference_l1_distance
+from test_quantize import FixedUniforms
 
 from fedqdp import rng as streams
 from fedqdp.models import ModelSpec, ParamSet, init_params, loss_and_grad
 from fedqdp.privacy import (
     BatchTrace,
     DpConfig,
-    _laplace_from_uniform,
     compute_e0,
     laplace_noise,
     noise_scale,
@@ -198,7 +198,7 @@ def _ps(*values):
     return ParamSet({"w": np.array(values, dtype=float)})
 
 
-def test_lipschitz_estimate_hand_built():
+def test_batch_trace_hand_built():
     trace = BatchTrace()
     trace.record(_ps(1.0, 0.0), _ps(0.0, 0.0), 0)
     trace.record(_ps(2.0, 0.0), _ps(1.0, 0.0), 1)
@@ -207,14 +207,14 @@ def test_lipschitz_estimate_hand_built():
     assert trace.estimate == 3.0
 
 
-def test_lipschitz_estimate_skips_zero_denominator():
+def test_batch_trace_skips_zero_denominator():
     trace = BatchTrace()
     trace.record(_ps(1.0), _ps(2.0), 0)
     trace.record(_ps(9.0), _ps(2.0), 0)  # same params, skipped
     assert trace.estimate == 0.0
 
 
-def test_lipschitz_estimate_empty_and_single_epoch():
+def test_batch_trace_empty_and_single_epoch():
     assert BatchTrace().estimate == 0.0
     trace = BatchTrace()
     trace.record(_ps(1.0), _ps(0.0), 0)
@@ -222,7 +222,7 @@ def test_lipschitz_estimate_empty_and_single_epoch():
     assert trace.estimate == 0.0
 
 
-def test_lipschitz_estimate_matches_all_pairs_oracle():
+def test_batch_trace_matches_all_pairs_oracle():
     """Batch j is compared only with batch j of the epoch just before it,
     never with an older epoch's batch j or with another batch."""
     rng = np.random.default_rng(8)
@@ -329,15 +329,20 @@ def test_laplace_noise_equals_per_tensor_draws():
     noise = laplace_noise(0.7, like, np.random.default_rng(5))
     rng = np.random.default_rng(5)
     for name in like.layout.names:
-        value = like[name]
-        want = _laplace_from_uniform(rng.random(value.size) - 0.5, 0.7).reshape(value.shape)
+        want = laplace_noise(0.7, ParamSet({name: like[name]}), rng)[name]
         assert np.array_equal(noise[name], want)
 
 
+def _noise_from(uniforms, scale):
+    """laplace_noise over exactly these uniforms on [0, 1]."""
+    like = ParamSet({"w": np.zeros(len(uniforms))})
+    return laplace_noise(scale, like, FixedUniforms(uniforms))["w"]
+
+
 def test_laplace_kernel_boundary_is_finite():
-    # |u| at the closed end of the interval must not produce inf
-    u = np.array([0.5, -0.5, 0.0])
-    out = _laplace_from_uniform(u, 1.0)
+    # uniforms 1 and 0 put |u| at the closed end of the interval, which
+    # must not produce inf; uniform 1/2 is u = 0
+    out = _noise_from([1.0, 0.0, 0.5], 1.0)
     assert np.all(np.isfinite(out))
     assert out[2] == 0.0
 
@@ -347,13 +352,11 @@ def test_laplace_kernel_equals_out_of_place_formula():
         inner = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(np.float64).tiny)
         return -scale * np.sign(u) * np.log(inner)
 
-    edge = np.array([-0.5, 0.0, np.nextafter(0.5, 0.0), -np.nextafter(0.5, 0.0)])
-    draws = np.random.default_rng(13).random(10_000) - 0.5
-    for u in (edge, draws):
+    edge = np.array([0.0, 0.5, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)])
+    draws = np.random.default_rng(13).random(10_000)
+    for uniforms in (edge, draws):
         for scale in (1.0, 0.37, 2.5e3):
-            before = u.copy()
-            assert np.array_equal(_laplace_from_uniform(u, scale), reference(u, scale))
-            assert np.array_equal(u, before)
+            assert np.array_equal(_noise_from(uniforms, scale), reference(uniforms - 0.5, scale))
 
 
 def test_laplace_noise_statistics():

@@ -87,14 +87,15 @@ def test_stochastic_round_rejects_non_finite():
 
 
 class FixedUniforms:
-    """Stands in for a Generator whose random(n) returns chosen uniforms."""
+    """Stands in for a Generator whose random(n) returns chosen uniforms,
+    a fresh copy each call, as callers may write into their draw."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
 
     def random(self, n):
         assert n == self.u.size
-        return self.u
+        return self.u.copy()
 
 
 def test_quantize_params_handles_boundary_uniform():
