@@ -3,14 +3,8 @@ and Laplacian local differential privacy."""
 
 __version__ = "0.1.0"
 
-from fedqdp.federation import (
-    BlobsConfig,
-    ExperimentConfig,
-    IdxConfig,
-    PartitionConfig,
-    RoundRecord,
-    run_experiment,
-)
+from fedqdp.data import BlobsConfig, IdxConfig, PartitionConfig
+from fedqdp.federation import ExperimentConfig, RoundRecord, run_experiment
 from fedqdp.models import ModelSpec, ParamSet
 from fedqdp.privacy import DpConfig
 from fedqdp.schedule import ScheduleConfig

@@ -17,7 +17,8 @@ from dataclasses import MISSING, Field, fields
 from itertools import product
 from pathlib import Path
 
-from fedqdp.federation import BlobsConfig, ExperimentConfig, IdxConfig, PartitionConfig
+from fedqdp.data import BlobsConfig, IdxConfig, PartitionConfig
+from fedqdp.federation import ExperimentConfig
 from fedqdp.models import ModelSpec
 from fedqdp.privacy import DpConfig
 from fedqdp.schedule import ScheduleConfig

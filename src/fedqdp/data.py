@@ -3,7 +3,9 @@
 Provides a synthetic Gaussian-blob classifier benchmark, an IDX image/label
 file loader, and two non-IID partitioners: per-class Dirichlet proportions
 and a two-class power-law size profile. Partitioners return sorted index
-arrays, one per client, each client non-empty.
+arrays, one per client, each client non-empty. A run's data setup lives
+here too: the data and partition configs, make_datasets and
+partition_dataset, each drawing from its own stream off the run's seed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 
 import numpy as np
+
+from fedqdp import rng as streams
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -50,6 +54,55 @@ class LabeledDataset:
     @property
     def input_dim(self) -> int:
         return self.features.shape[1]
+
+
+@dataclass(frozen=True)
+class BlobsConfig:
+    """Synthetic Gaussian-blob dataset: independent train and test draws."""
+
+    num_classes: int = 3
+    input_dim: int = 2
+    train_per_class: int = 200
+    test_per_class: int = 50
+    spread: float = 0.1
+
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.input_dim < 1:
+            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+        if self.train_per_class < 1:
+            raise ValueError(f"train_per_class must be >= 1, got {self.train_per_class}")
+        if self.test_per_class < 1:
+            raise ValueError(f"test_per_class must be >= 1, got {self.test_per_class}")
+        if not np.isfinite(self.spread) or self.spread < 0:
+            raise ValueError(f"spread must be non-negative and finite, got {self.spread}")
+
+
+@dataclass(frozen=True)
+class IdxConfig:
+    """Train/test IDX file quadruple (images + labels each)."""
+
+    train_images: str
+    train_labels: str
+    test_images: str
+    test_labels: str
+
+
+@dataclass(frozen=True)
+class PartitionConfig:
+    scheme: str = "dirichlet"
+    alpha: float = 0.5
+    exponent: float = 1.2
+
+    def __post_init__(self):
+        if self.scheme not in ("dirichlet", "power_law"):
+            raise ValueError(f"scheme must be 'dirichlet' or 'power_law', got {self.scheme!r}")
+        # each scheme reads only its own parameter
+        if self.scheme == "dirichlet" and (not np.isfinite(self.alpha) or self.alpha <= 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.scheme == "power_law" and (not np.isfinite(self.exponent) or self.exponent < 0):
+            raise ValueError(f"exponent must be non-negative and finite, got {self.exponent}")
 
 
 def _validate_partition_args(labels: np.ndarray, num_clients: int) -> np.ndarray:
@@ -247,3 +300,38 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     labels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
     num_classes = max(int(labels.max()) + 1, 2)
     return LabeledDataset(pixels.reshape(count, rows * cols), labels, num_classes)
+
+
+def make_datasets(
+    data_cfg: BlobsConfig | IdxConfig, seed: int
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Build (train, test). Blob draws use dedicated streams off the seed,
+    0 for train and 1 for test. IDX splits get a shared class count, and
+    test images sized unlike the training images raise IdxParseError."""
+    if isinstance(data_cfg, BlobsConfig):
+        return tuple(
+            synthetic_blobs(data_cfg.num_classes, data_cfg.input_dim, per_class, data_cfg.spread,
+                            streams.substream(seed, streams.DATA, i))
+            for i, per_class in enumerate((data_cfg.train_per_class, data_cfg.test_per_class))
+        )
+    splits = [load_idx(images, labels) for images, labels in (
+        (data_cfg.train_images, data_cfg.train_labels),
+        (data_cfg.test_images, data_cfg.test_labels),
+    )]
+    if splits[1].input_dim != splits[0].input_dim:
+        raise IdxParseError(f"{data_cfg.test_images}: images of {splits[1].input_dim} pixels, "
+                            f"but the training images have {splits[0].input_dim}")
+    k = max(s.num_classes for s in splits)
+    return tuple(s if s.num_classes == k else LabeledDataset(s.features, s.labels, k)
+                 for s in splits)
+
+
+def partition_dataset(
+    train: LabeledDataset, partition: PartitionConfig, num_clients: int, seed: int
+) -> list[np.ndarray]:
+    """The clients' shards of train under the partition scheme, drawn from
+    the seed's partition stream."""
+    gen = streams.substream(seed, streams.PARTITION)
+    if partition.scheme == "dirichlet":
+        return dirichlet_partition(train.labels, num_clients, partition.alpha, gen)
+    return power_law_two_class_partition(train.labels, num_clients, partition.exponent, gen)

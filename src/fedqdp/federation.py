@@ -1,13 +1,16 @@
 """Federated averaging over quantized links with exact bit accounting.
 
-A client is its id and its shard, its row indices into the shared
-training set. Each round the server picks a client subset and decides the
-broadcast width and every upload width, broadcasts quantized global
-parameters, clients train locally (optionally clipping gradients and adding
-Laplace noise before upload) and quantize at the width they are handed, and
-the server averages the dequantized uploads weighted by shard size. Every
-message is metered by quantize.comm_cost from the parameters' layout and
-the width decided for it.
+This module holds the protocol; the data configs, make_datasets and
+partition_dataset live in fedqdp.data. A client is its id and its shard,
+its row indices into the shared training set. Each round the server picks
+a client subset and decides the broadcast width and every upload width,
+then broadcasts quantized global parameters. A client's round is two
+stages: local_train (local SGD, with DP the gradient clip and the
+smoothness trace) and release (with DP the sensitivity and Laplace noise,
+then the quantized upload at the width it is handed); client_update
+composes them. The server averages the dequantized uploads weighted by
+shard size. Every message is metered by quantize.comm_cost from the
+parameters' layout and the width decided for it.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import numpy as np
 
 from fedqdp import rng as streams
 from fedqdp.data import (
-    IdxParseError,
+    BlobsConfig,
+    IdxConfig,
     LabeledDataset,
-    dirichlet_partition,
-    load_idx,
-    power_law_two_class_partition,
-    synthetic_blobs,
+    PartitionConfig,
+    make_datasets,
+    partition_dataset,
 )
 from fedqdp.models import (
     ModelSpec,
@@ -40,55 +43,6 @@ from fedqdp.quantize import QuantizedParamSet, comm_cost, dequantize_params, qua
 from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 
 EVAL_ROWS = 128
-
-
-@dataclass(frozen=True)
-class BlobsConfig:
-    """Synthetic Gaussian-blob dataset: independent train and test draws."""
-
-    num_classes: int = 3
-    input_dim: int = 2
-    train_per_class: int = 200
-    test_per_class: int = 50
-    spread: float = 0.1
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.train_per_class < 1:
-            raise ValueError(f"train_per_class must be >= 1, got {self.train_per_class}")
-        if self.test_per_class < 1:
-            raise ValueError(f"test_per_class must be >= 1, got {self.test_per_class}")
-        if not np.isfinite(self.spread) or self.spread < 0:
-            raise ValueError(f"spread must be non-negative and finite, got {self.spread}")
-
-
-@dataclass(frozen=True)
-class IdxConfig:
-    """Train/test IDX file quadruple (images + labels each)."""
-
-    train_images: str
-    train_labels: str
-    test_images: str
-    test_labels: str
-
-
-@dataclass(frozen=True)
-class PartitionConfig:
-    scheme: str = "dirichlet"
-    alpha: float = 0.5
-    exponent: float = 1.2
-
-    def __post_init__(self):
-        if self.scheme not in ("dirichlet", "power_law"):
-            raise ValueError(f"scheme must be 'dirichlet' or 'power_law', got {self.scheme!r}")
-        # each scheme reads only its own parameter
-        if self.scheme == "dirichlet" and (not np.isfinite(self.alpha) or self.alpha <= 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.scheme == "power_law" and (not np.isfinite(self.exponent) or self.exponent < 0):
-            raise ValueError(f"exponent must be non-negative and finite, got {self.exponent}")
 
 
 @dataclass(frozen=True)
@@ -183,23 +137,17 @@ def evaluate(spec: ModelSpec, params: ParamSet, dataset: LabeledDataset) -> floa
     return correct / n
 
 
-def client_update(
-    global_params: ParamSet,
-    train: LabeledDataset,
-    shard: np.ndarray,
-    client_id: int,
-    cfg: ExperimentConfig,
-    t: int,
-    bits: int,
-) -> QuantizedParamSet:
-    """One client's round on its shard of train: local SGD from the
-    dequantized broadcast, then optional Laplace perturbation, then the
-    upload quantized at the given width, which the round loop decided.
+def local_train(global_params: ParamSet, train: LabeledDataset, shard: np.ndarray,
+                client_id: int, cfg: ExperimentConfig, t: int) -> tuple[ParamSet, float | None]:
+    """A client's local SGD on its shard of train, from the dequantized
+    broadcast: (trained parameters, lambda_i), lambda_i None without DP.
 
-    The sample order is shuffled once per round and reused for every local
-    epoch, so an epoch pair visits identical batches and their gradient
-    difference estimates local smoothness. All randomness comes from
-    streams keyed on (seed, purpose, t, client_id).
+    The sample order is drawn once per round from the client's batching
+    stream and reused for every local epoch, so an epoch pair visits
+    identical batches and their gradient difference estimates local
+    smoothness. With DP every gradient is L1-clipped to xi after the trace
+    records it unclipped; the trace is freed on return and only its
+    estimate, lambda_i, comes out.
     """
     params = global_params
     n_i = shard.size
@@ -216,19 +164,46 @@ def client_update(
                 trace.record(grad, params, j)
                 grad = clip_gradient_l1(grad, cfg.dp.xi)
             params = sgd_step(params, grad, cfg.eta)
+    return params, None if trace is None else trace.estimate
 
+
+def release(params: ParamSet, lambda_i: float | None, n_i: int, client_id: int,
+            cfg: ExperimentConfig, t: int, bits: int) -> QuantizedParamSet:
+    """A client's upload of its trained parameters, quantized at the width
+    the round loop decided.
+
+    With DP, the sensitivity for lambda_i and the client's n_i samples
+    sets the Laplace scale, and noise drawn from the client's noise stream
+    is added first; the encode draws from its rounding stream. Both
+    streams are keyed on (seed, purpose, t, client_id), so releasing the
+    same parameters twice gives the same bytes.
+    """
     if cfg.dp is not None:
-        sens = sensitivity(trace.estimate, cfg.eta, cfg.local_epochs, n_i, cfg.dp.xi)
+        sens = sensitivity(lambda_i, cfg.eta, cfg.local_epochs, n_i, cfg.dp.xi)
         scale = noise_scale(
             sens, cfg.dp, cfg.clients_per_round, cfg.rounds, cfg.num_clients, cfg.local_epochs
         )
         params = params + laplace_noise(
             scale, params, streams.substream(cfg.seed, streams.CLIENT_NOISE, t, client_id)
         )
-
     return quantize_params(
         params, bits, streams.substream(cfg.seed, streams.CLIENT_ROUNDING, t, client_id)
     )
+
+
+def client_update(
+    global_params: ParamSet,
+    train: LabeledDataset,
+    shard: np.ndarray,
+    client_id: int,
+    cfg: ExperimentConfig,
+    t: int,
+    bits: int,
+) -> QuantizedParamSet:
+    """One client's round: local_train on its shard, then release at the
+    given width."""
+    return release(*local_train(global_params, train, shard, client_id, cfg, t),
+                   shard.size, client_id, cfg, t, bits)
 
 
 def aggregate(uploads: list[QuantizedParamSet], sizes: list[int]) -> ParamSet:
@@ -243,39 +218,6 @@ def aggregate(uploads: list[QuantizedParamSet], sizes: list[int]) -> ParamSet:
             raise ShapeMismatchError(f"upload {i} and upload 0 differ in tensor names or shapes")
         acc += dequantize_params(q).vector * (n / total)
     return ParamSet.from_vector(layout, acc)
-
-
-def make_datasets(
-    data_cfg: BlobsConfig | IdxConfig, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Build (train, test). Blob draws use dedicated streams off the seed,
-    0 for train and 1 for test. IDX splits get a shared class count, and
-    test images sized unlike the training images raise IdxParseError."""
-    if isinstance(data_cfg, BlobsConfig):
-        return tuple(
-            synthetic_blobs(data_cfg.num_classes, data_cfg.input_dim, per_class, data_cfg.spread,
-                            streams.substream(seed, streams.DATA, i))
-            for i, per_class in enumerate((data_cfg.train_per_class, data_cfg.test_per_class))
-        )
-    splits = [load_idx(images, labels) for images, labels in (
-        (data_cfg.train_images, data_cfg.train_labels),
-        (data_cfg.test_images, data_cfg.test_labels),
-    )]
-    if splits[1].input_dim != splits[0].input_dim:
-        raise IdxParseError(f"{data_cfg.test_images}: images of {splits[1].input_dim} pixels, "
-                            f"but the training images have {splits[0].input_dim}")
-    k = max(s.num_classes for s in splits)
-    return tuple(s if s.num_classes == k else LabeledDataset(s.features, s.labels, k)
-                 for s in splits)
-
-
-def partition_dataset(train: LabeledDataset, cfg: ExperimentConfig) -> list[np.ndarray]:
-    gen = streams.substream(cfg.seed, streams.PARTITION)
-    if cfg.partition.scheme == "dirichlet":
-        return dirichlet_partition(train.labels, cfg.num_clients, cfg.partition.alpha, gen)
-    return power_law_two_class_partition(
-        train.labels, cfg.num_clients, cfg.partition.exponent, gen
-    )
 
 
 def _train_round(params: ParamSet, train: LabeledDataset, shards: list[np.ndarray],
@@ -343,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
         raise ValueError(
             f"model num_classes {cfg.model.num_classes} != dataset classes {train.num_classes}"
         )
-    shards = partition_dataset(train, cfg)
+    shards = partition_dataset(train, cfg.partition, cfg.num_clients, cfg.seed)
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
 
     records: list[RoundRecord] = []

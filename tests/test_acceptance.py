@@ -91,7 +91,7 @@ def test_acceptance_2_dynamic_never_exceeds_cosine():
             cos_up = sum(r.uplink_bits for r in cos)
             # strictness applies when some selected client has importance < 1
             train, _ = make_datasets(dyn_cfg.data, seed)
-            parts = partition_dataset(train, dyn_cfg)
+            parts = partition_dataset(train, dyn_cfg.partition, dyn_cfg.num_clients, dyn_cfg.seed)
             sizes = [p.size for p in parts]
             hists = [label_histogram(train, p) for p in parts]
             damped = False

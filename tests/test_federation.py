@@ -1,5 +1,6 @@
 """Protocol orchestration: selection, client updates, aggregation, accounting."""
 
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import fedqdp
 from fedqdp import federation
 from fedqdp import rng as streams
 from fedqdp.config import parse_config_dict
-from fedqdp.data import IdxParseError, LabeledDataset
+from fedqdp.data import IdxParseError, LabeledDataset, synthetic_blobs
 from fedqdp.federation import (
     EVAL_ROWS,
     BlobsConfig,
@@ -30,8 +32,10 @@ from fedqdp.federation import (
     client_update,
     comm_cost,
     evaluate,
+    local_train,
     make_datasets,
     partition_dataset,
+    release,
     run_experiment,
     select_clients,
 )
@@ -40,11 +44,12 @@ from fedqdp.models import (
     ParamSet,
     ShapeMismatchError,
     init_params,
+    l1_distance,
     loss_and_grad,
     predict,
     sgd_step,
 )
-from fedqdp.privacy import DpConfig
+from fedqdp.privacy import DpConfig, sensitivity
 from fedqdp.quantize import dequantize_params, quantize_params
 from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 
@@ -233,6 +238,69 @@ def test_client_update_dp_changes_result():
     assert any(not np.array_equal(plain[k], noisy[k]) for k in plain.layout.names)
 
 
+# --- client stages -----------------------------------------------------------
+
+# SHA-256 of codes.tobytes() + scales.tobytes() of a 12-bit upload by client 5
+# (79 samples, two batches) of configs/blobs_dp_dynamic.json at t = 3, from
+# the broadcast of the initial parameters, with and without DP. Pinned from
+# client_update before its body was split into local_train and release.
+PINNED_UPLOADS = {
+    "dp": "faa0c8dbe39bd1344ec6b32cfc5d327d14ac394b775aec013a2b361ae599a7e0",
+    "no_dp": "26cb043022964de300334f43e8b0ccf6dad90a2024d340d1b2b878397c70d243",
+}
+
+
+def _upload_digest(q):
+    return hashlib.sha256(q.codes.tobytes() + q.scales.tobytes()).hexdigest()
+
+
+def test_stages_reproduce_the_pinned_client_update_upload():
+    dp_cfg = parse_config_dict(json.loads((CONFIGS / "blobs_dp_dynamic.json").read_text()))
+    train, _ = make_datasets(dp_cfg.data, dp_cfg.seed)
+    shards = partition_dataset(train, dp_cfg.partition, dp_cfg.num_clients, dp_cfg.seed)
+    client, t, bits = 5, 3, 12
+    shard = shards[client]
+    assert shard.size > dp_cfg.batch_size
+    b_t = schedule_bits(dp_cfg.schedule, t, dp_cfg.rounds)
+    params0 = init_params(dp_cfg.model, streams.substream(dp_cfg.seed, streams.INIT))
+    global_params = dequantize_params(
+        quantize_params(params0, b_t, streams.substream(dp_cfg.seed, streams.SERVER_ROUNDING, t)))
+    for key, cfg in (("dp", dp_cfg), ("no_dp", replace(dp_cfg, dp=None))):
+        whole = client_update(global_params, train, shard, client, cfg, t, bits)
+        trained, lambda_i = local_train(global_params, train, shard, client, cfg, t)
+        assert (lambda_i is None) == (cfg.dp is None)
+        staged = [release(trained, lambda_i, shard.size, client, cfg, t, bits) for _ in range(2)]
+        for q in (whole, *staged):
+            assert (_upload_digest(q), q.bits) == (PINNED_UPLOADS[key], bits)
+
+
+def test_known_defect_one_sample_moves_local_train_past_its_sensitivity():
+    # Known defect (ROADMAP item 2): the reported sensitivity is not a bound.
+    # One client holds all 200 rows of 4 blobs in 8 dimensions; in the k-th
+    # of 20 neighbouring datasets row k is a copy of row (7k + 3) % 200. The
+    # trained parameters move by up to about 0.218 in L1, about 40 times the
+    # sensitivity of 0.00534 computed from lambda_i on the original data.
+    data = synthetic_blobs(4, 8, 50, 0.5, np.random.default_rng(0))
+    model = ModelSpec("logistic", input_dim=8, num_classes=4)
+    cfg = ExperimentConfig(
+        model=model, schedule=ScheduleConfig(mode="static", bits=32),
+        data=BlobsConfig(num_classes=4, input_dim=8, train_per_class=50, spread=0.5),
+        partition=PART, dp=DpConfig(epsilon=1.0, xi=1.0), num_clients=1, clients_per_round=1,
+        local_epochs=5, batch_size=64, eta=0.1,
+    )
+    params0 = init_params(model, streams.substream(0, streams.INIT))
+    shard = np.arange(len(data))
+    theta, lambda_i = local_train(params0, data, shard, 0, cfg, 0)
+    moves = []
+    for k in range(20):
+        features, labels = data.features.copy(), data.labels.copy()
+        features[k], labels[k] = features[(7 * k + 3) % 200], labels[(7 * k + 3) % 200]
+        neighbour, _ = local_train(params0, LabeledDataset(features, labels, 4), shard, 0, cfg, 0)
+        moves.append(l1_distance(theta, neighbour))
+    bound = sensitivity(lambda_i, cfg.eta, cfg.local_epochs, shard.size, cfg.dp.xi)
+    assert max(moves) > 10 * bound
+
+
 # --- aggregation -------------------------------------------------------------
 
 
@@ -313,7 +381,7 @@ def test_bit_accounting_reconstructed_from_streams():
     records = run_experiment(cfg)
 
     train, _ = make_datasets(cfg.data, cfg.seed)
-    parts = partition_dataset(train, cfg)
+    parts = partition_dataset(train, cfg.partition, cfg.num_clients, cfg.seed)
     params0 = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
     b0 = schedule_bits(cfg.schedule, 0, cfg.rounds)
     q_global = quantize_params(params0, b0, streams.substream(cfg.seed, streams.SERVER_ROUNDING, 0))
@@ -332,7 +400,7 @@ def test_bit_accounting_reconstructed_from_streams():
     # hand, lambda_h * entropy / log2 C + (1 - lambda_h) * n_i / n_max with
     # n_max over the round's clients, damping the cosine term of 32 -> 8
     cfg = make_config(rounds=3, mode="dynamic")
-    parts = partition_dataset(train, cfg)
+    parts = partition_dataset(train, cfg.partition, cfg.num_clients, cfg.seed)
     lam_h = cfg.schedule.lambda_h
     damped = 0
     for r in run_experiment(cfg):
@@ -367,6 +435,21 @@ def test_hook_sees_round_progression():
     train, test = make_datasets(cfg.data, cfg.seed)
     assert round(evaluate(cfg.model, seen[-1][0], test), 6) == records[-1].test_acc
     assert round(evaluate(cfg.model, seen[-1][0], train), 6) == records[-1].train_acc
+
+
+def test_a_round_replays_from_the_previous_aggregate():
+    # a run carries no state across rounds but the aggregated parameters,
+    # so round t retrained from round t - 1's aggregate gives round t again
+    cfg = replace(parse_config_dict(json.loads((CONFIGS / "blobs_dp_dynamic.json").read_text())),
+                  rounds=30)
+    seen = []
+    run_experiment(cfg, round_hook=lambda params, rec: seen.append((params, rec)))
+    train, _ = make_datasets(cfg.data, cfg.seed)
+    shards = partition_dataset(train, cfg.partition, cfg.num_clients, cfg.seed)
+    for t in (5, 10, 29):
+        params, record = federation._train_round(seen[t - 1][0], train, shards, cfg, t)
+        assert params.vector.tobytes() == seen[t][0].vector.tobytes()
+        assert record == replace(seen[t][1], test_acc=None, train_acc=None)
 
 
 def test_two_argument_hook_that_reads_only_the_round_index():
@@ -576,7 +659,7 @@ def test_only_dynamic_rounds_read_label_histograms(mode, monkeypatch):
         assert seen == []
         return
     train, _ = make_datasets(cfg.data, cfg.seed)
-    shards = partition_dataset(train, cfg)
+    shards = partition_dataset(train, cfg.partition, cfg.num_clients, cfg.seed)
     expected = [label_histogram(train, shards[i]) for r in records for i in r.selected]
     assert len(seen) == len(expected) == cfg.rounds * cfg.clients_per_round
     for got, want in zip(seen, expected):
@@ -635,7 +718,7 @@ def test_dynamic_upload_widths_reveal_single_label_changes():
     cfg = parse_config_dict(json.loads((CONFIGS / "blobs_dp_dynamic.json").read_text()))
     train, _ = make_datasets(cfg.data, cfg.seed)
     counts = [np.bincount(train.labels[p], minlength=train.num_classes)
-              for p in partition_dataset(train, cfg)]
+              for p in partition_dataset(train, cfg.partition, cfg.num_clients, cfg.seed)]
     sched, unit = cfg.schedule, np.eye(train.num_classes, dtype=np.int64)
 
     def width(hist, t, n_max):
