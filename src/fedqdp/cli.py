@@ -21,7 +21,7 @@ import numpy as np
 
 from fedqdp import __version__
 from fedqdp.config import ConfigError, grid_cells, load_config_dict, parse_config_dict
-from fedqdp.federation import run_experiment
+from fedqdp.federation import ExperimentConfig, run_experiment
 from fedqdp.metrics import (
     RunManifest,
     _atomic_write,
@@ -42,9 +42,8 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _execute(raw: dict, out_dir: Path) -> dict:
-    """Run one configured experiment and write metrics + manifest."""
-    cfg = parse_config_dict(raw)
+def _execute(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> dict:
+    """Run cfg, the parse of raw, and write metrics + a manifest that keeps raw."""
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _now()
     records = run_experiment(cfg)
@@ -76,7 +75,7 @@ def _cmd_run(args) -> int:
     raw = load_config_dict(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
-    summary = _execute(raw, Path(args.out or _default_out()))
+    summary = _execute(raw, parse_config_dict(raw), Path(args.out or _default_out()))
     print(f"rounds: {summary['rounds']}")
     print(f"total bits (down + up): {summary['total_bits']}")
     if summary["best_test_acc"] is not None:
@@ -127,19 +126,20 @@ def _cmd_sweep(args) -> int:
     raw = load_config_dict(args.config)
     grid = _load_grid(args.grid)
     cells = grid_cells(raw, grid)
-    # validate every cell before running any, so a bad cell leaves no output
+    # parse every cell before running any, so a bad cell leaves no output
+    cfgs = []
     for overrides, cell_raw in cells:
         try:
-            parse_config_dict(cell_raw)
+            cfgs.append(parse_config_dict(cell_raw))
         except ConfigError as exc:
             raise ConfigError(f"grid cell {overrides}: {exc}") from exc
     out_root = Path(args.out or _default_out())
     out_root.mkdir(parents=True, exist_ok=True)
     keys = sorted(grid)
     rows = [["cell", *keys, "total_bits", "best_test_acc", "best_round"]]
-    for i, (overrides, cell_raw) in enumerate(cells):
+    for i, ((overrides, cell_raw), cfg) in enumerate(zip(cells, cfgs)):
         cell_dir = out_root / f"cell_{i:03d}"
-        summary = _execute(cell_raw, cell_dir)
+        summary = _execute(cell_raw, cfg, cell_dir)
         rows.append(
             [
                 cell_dir.name,

@@ -76,20 +76,6 @@ def comm_cost(layout: Layout, bits: int) -> int:
     return layout.size * _check_bits(bits) + len(layout) * (SCALE_BITS + TAG_BITS)
 
 
-def scale_factor(alpha: float, bits: int) -> float:
-    """Scale mapping [-alpha, alpha] onto the signed integer range.
-
-    alpha is the max absolute value of the tensor; alpha = 0 maps to
-    scale 1 by convention. For alpha below (2^(b-1) - 1) / DBL_MAX (about
-    1.2e-299 at 32 bits, 7e-307 at 8) the quotient overflows, so the scale
-    is clamped to the largest finite float, which still keeps
-    alpha * scale <= 2^(b-1) - 1.
-    """
-    if alpha == 0.0:
-        return 1.0
-    return min(float(2 ** (bits - 1) - 1) / alpha, sys.float_info.max)
-
-
 def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> QuantizedParamSet:
     """Quantize every tensor at the same bit width with per-tensor scales.
 
@@ -99,15 +85,18 @@ def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> Qu
     vector in layout order, the same stream as one draw per tensor in turn.
     """
     b = _check_bits(bits)
+    bound = float(2 ** (b - 1) - 1)
     layout = params.layout
     flat = params.vector
     scales = np.empty(len(layout))
     scaled = np.empty(layout.size)
     for i, (_, _, offset, size) in enumerate(layout.entries):
         segment = flat[offset : offset + size]
-        scales[i] = scale_factor(float(np.abs(segment).max(initial=0.0)), b)
+        alpha = float(np.abs(segment).max(initial=0.0))
+        # below alpha = bound / DBL_MAX (1.2e-299 at 32 bits) the quotient
+        # overflows; the largest finite float still keeps alpha * s <= bound
+        scales[i] = 1.0 if alpha == 0.0 else min(bound / alpha, sys.float_info.max)
         np.multiply(segment, scales[i], out=scaled[offset : offset + size])
-    bound = float(2 ** (b - 1) - 1)
     codes = np.floor(scaled)
     scaled -= codes  # the fractional parts
     codes += rng.random(flat.size) < scaled

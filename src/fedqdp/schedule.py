@@ -4,7 +4,7 @@ Three modes: a fixed width, cosine annealing from b_max down to b_min over
 the run, and a per-client variant that damps the cosine by an importance
 weight mixing normalized label entropy with relative dataset size. The
 annealing argument is t / (T - 1), so round 0 uses b_max and the final
-round uses b_min exactly.
+round uses b_min exactly; a one-round run uses b_max.
 """
 
 from __future__ import annotations
@@ -41,26 +41,14 @@ class ScheduleConfig:
             raise ValueError(f"lambda_h must lie in [0, 1], got {self.lambda_h}")
 
 
-def cosine_bits(t: int, horizon: int, b_max: float, b_min: float, nu: float) -> float:
-    """Real-valued annealed width b_min + nu * (b_max - b_min) * (1 + cos(pi t / horizon)) / 2."""
-    if not (0.0 <= nu <= 1.0):
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    return b_min + nu * (b_max - b_min) * (1.0 + np.cos(np.pi * t / horizon)) / 2.0
+def client_importance(label_counts: np.ndarray, n_max: int, lambda_h: float) -> float:
+    """nu = lambda_h * H(p) / log2(C) + (1 - lambda_h) * n / n_max, in [0, 1].
 
-
-def round_bits(b: float, b_min: int, b_max: int) -> int:
-    """Round half up to an integer, then clamp into [b_min, b_max]."""
-    if not np.isfinite(b):
-        raise ValueError(f"cannot round non-finite width {b}")
-    rounded = int(np.floor(b + 0.5))
-    return max(int(b_min), min(int(b_max), rounded))
-
-
-def normalized_entropy(label_counts: np.ndarray) -> float:
-    """Shannon entropy of the label distribution divided by log2 of the
-    class count, which is the length of label_counts (at least 2).
-
-    Lies in [0, 1]: 0 for a single-class dataset, 1 for a uniform one.
+    H(p) is the Shannon entropy of the label distribution p that
+    label_counts gives, C >= 2 its length (the class count) and n its sum
+    (the dataset size); n_max is the largest dataset size among the round's
+    clients. The entropy term is 0 for a single-class dataset and 1 for a
+    uniform one.
     """
     counts = np.asarray(label_counts, dtype=np.float64)
     total = counts.sum()
@@ -69,30 +57,24 @@ def normalized_entropy(label_counts: np.ndarray) -> float:
     p = counts[counts > 0] / total
     h = -np.sum(p * np.log2(p)) / np.log2(counts.size)
     # float noise can push a uniform distribution a few ulp past 1
-    return float(min(1.0, max(0.0, h)))
-
-
-def client_importance(label_counts: np.ndarray, n_max: int, lambda_h: float) -> float:
-    """Mix of label entropy and relative dataset size, in [0, 1].
-
-    The dataset size n is the sum of label_counts and the class count its
-    length. lambda_h weights the entropy term; 1 - lambda_h weights n / n_max,
-    n_max being the largest dataset size among the round's clients.
-    """
-    counts = np.asarray(label_counts)
-    entropy = normalized_entropy(counts)
-    return lambda_h * entropy + (1.0 - lambda_h) * (int(counts.sum()) / n_max)
+    entropy = float(min(1.0, max(0.0, h)))
+    return lambda_h * entropy + (1.0 - lambda_h) * (int(total) / n_max)
 
 
 def schedule_bits(cfg: ScheduleConfig, t: int, rounds: int, nu: float = 1.0) -> int:
     """Integer bit width for round t of a run of the given number of rounds.
 
-    static ignores t and nu; cosine and dynamic anneal, with the annealed
-    term damped by nu. nu defaults to 1.0, the full weight the broadcast
-    goes at; the round loop passes a client's importance only for dynamic
-    uploads.
+    static ignores t and nu. cosine and dynamic round half up the width
+    b = b_min + nu * (b_max - b_min) * (1 + cos(pi t / (T - 1))) / 2, with
+    T - 1 taken as 1 for a one-round run. nu defaults to 1.0, the full
+    weight the broadcast goes at; the round loop passes a client's
+    importance only for dynamic uploads.
     """
     if cfg.mode == "static":
         return cfg.bits
+    if not (0.0 <= nu <= 1.0):
+        raise ValueError(f"nu must lie in [0, 1], got {nu}")
     horizon = max(rounds - 1, 1)
-    return round_bits(cosine_bits(t, horizon, cfg.b_max, cfg.b_min, nu), cfg.b_min, cfg.b_max)
+    b = cfg.b_min + nu * (cfg.b_max - cfg.b_min) * (1.0 + np.cos(np.pi * t / horizon)) / 2.0
+    # nu and the cosine factor lie in [0, 1], so b_min <= b <= b_max: no clamp
+    return int(np.floor(b + 0.5))

@@ -110,7 +110,7 @@ def test_constraint_violations_name_the_problem():
     with pytest.raises(ConfigError, match="epsilon"):
         parse_config_dict({"dp": {"epsilon": -1.0, "xi": 1.0}})
     # the round loop's helpers (sgd_step, clip_gradient_l1, sensitivity,
-    # noise_scale, select_clients, cosine_bits, client_importance) take these
+    # noise_scale, select_clients, schedule_bits, client_importance) take these
     # as given, so the config is the one place that refuses them
     for raw, message in (({"eta": 0.0}, "eta must be positive"),
                          ({"eta": float("nan")}, "eta must be positive"),
@@ -652,6 +652,23 @@ def test_cli_sweep(tmp_path, capsys):
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0] == "cell,seed,total_bits,best_test_acc,best_round"
     assert len(summary) == 3
+
+
+def test_cli_parses_each_config_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_parse(raw):
+        calls.append(raw)
+        return parse_config_dict(raw)
+
+    monkeypatch.setattr("fedqdp.cli.parse_config_dict", counting_parse)
+    cfg = _write_config(tmp_path)
+    grid = json.dumps({"seed": [0, 1]})
+    assert main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(tmp_path / "s")]) == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_sweep_long_inline_grid(tmp_path, capsys):

@@ -18,7 +18,6 @@ from fedqdp.quantize import (
     comm_cost,
     dequantize_params,
     quantize_params,
-    scale_factor,
 )
 
 
@@ -45,16 +44,29 @@ def clip_int(value: int, bits: int) -> int:
     return max(-bound, min(bound, int(value)))
 
 
+def scale_of(alpha: float, bits: int) -> float:
+    """s = (2^(b-1) - 1) / alpha for the max absolute value alpha, 1 for
+    alpha = 0, and the largest finite float where the quotient overflows."""
+    if alpha == 0.0:
+        return 1.0
+    return min(float(2 ** (bits - 1) - 1) / alpha, sys.float_info.max)
+
+
 def test_scale_factor_examples():
-    assert scale_factor(1.0, 8) == 127.0
-    assert scale_factor(0.0, 8) == 1.0
-    assert scale_factor(2.0, 2) == 0.5  # (2^1 - 1) / 2
-    assert scale_factor(1.0, 32) == float(2**31 - 1)
+    def scale(alpha, bits):
+        q = quantize_params(ParamSet({"t": np.array([alpha / 2, -alpha])}), bits,
+                            np.random.default_rng(0))
+        return q.scales.tolist()
+
+    assert scale(1.0, 8) == [127.0]
+    assert scale(0.0, 8) == [1.0]
+    assert scale(2.0, 2) == [0.5]  # (2^1 - 1) / 2
+    assert scale(1.0, 32) == [float(2**31 - 1)]
     # a quotient that overflows is clamped; a finite one keeps its bits
-    assert scale_factor(1e-310, 8) == sys.float_info.max
-    assert scale_factor(1e-300, 32) == sys.float_info.max
-    assert scale_factor(1e-300, 8) == 127.0 / 1e-300
-    assert scale_factor(1.3e-299, 32) == float(2**31 - 1) / 1.3e-299
+    assert scale(1e-310, 8) == [sys.float_info.max]
+    assert scale(1e-300, 32) == [sys.float_info.max]
+    assert scale(1e-300, 8) == [127.0 / 1e-300]
+    assert scale(1.3e-299, 32) == [float(2**31 - 1) / 1.3e-299]
 
 
 def test_stochastic_round_integers_fixed():
@@ -134,10 +146,10 @@ def _quantize_one(tensor, bits, rng):
 
 
 def _reference_codes(values, bits, rng):
-    """Codes of one tensor from the scalar ops alone: scale_factor, then
+    """Codes of one tensor from the scalar ops alone: scale_of, then
     stochastic_round and clip_int element by element."""
     flat = np.ravel(values)
-    s = scale_factor(float(np.abs(flat).max()) if flat.size else 0.0, bits)
+    s = scale_of(float(np.abs(flat).max()) if flat.size else 0.0, bits)
     return s, [clip_int(stochastic_round(v * s, rng), bits) for v in flat]
 
 
@@ -241,7 +253,7 @@ def test_extreme_elements_roundtrip_exactly():
 
 
 def test_quantize_matches_scalar_ops_elementwise():
-    """The vectorized path equals scale_factor + stochastic_round +
+    """The vectorized path equals scale_of + stochastic_round +
     clip_int element by element on a shared stream."""
     t = np.array([0.913, -0.204, 0.555, -0.999, 0.001, 0.25])
     bits = 8

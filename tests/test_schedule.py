@@ -1,18 +1,13 @@
 """Bit schedules: cosine annealing, rounding, importance weighting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedqdp.schedule import (
-    ScheduleConfig,
-    client_importance,
-    cosine_bits,
-    normalized_entropy,
-    round_bits,
-    schedule_bits,
-)
+from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 
 
 def test_schedule_config_validation():
@@ -36,59 +31,72 @@ def test_schedule_config_validation():
 
 
 def test_cosine_bits_endpoints_exact():
-    assert cosine_bits(0, 999, 32, 8, 1.0) == 32.0
-    assert cosine_bits(999, 999, 32, 8, 1.0) == 8.0
-    assert cosine_bits(0, 1, 32, 2, 1.0) == 32.0
-    assert cosine_bits(1, 1, 32, 2, 1.0) == 2.0
+    # the widest span the quantizer allows, at the shortest and a long horizon
+    full = ScheduleConfig(mode="cosine", b_max=32, b_min=2)
+    for rounds in (2, 1000):
+        assert schedule_bits(full, 0, rounds) == 32
+        assert schedule_bits(full, rounds - 1, rounds) == 2
 
 
 def test_cosine_bits_midpoint():
-    # halfway the annealed width sits at the mean of the endpoints
-    assert abs(cosine_bits(500, 1000, 32, 2, 1.0) - 17.0) < 1e-12
+    # halfway the annealed width sits at the mean of the endpoints, and an
+    # odd span's mean of 17.5 rounds up
+    assert schedule_bits(ScheduleConfig(mode="cosine", b_max=32, b_min=2), 500, 1001) == 17
+    assert schedule_bits(ScheduleConfig(mode="cosine", b_max=32, b_min=3), 500, 1001) == 18
 
 
 def test_cosine_bits_monotone_in_nu():
-    widths = [cosine_bits(100, 999, 32, 8, nu) for nu in (0.0, 0.3, 0.7, 1.0)]
-    assert widths[0] == 8.0
+    cfg = ScheduleConfig(mode="cosine", b_max=32, b_min=8)
+    widths = [schedule_bits(cfg, 100, 1000, nu) for nu in (0.0, 0.3, 0.7, 1.0)]
+    assert widths[0] == 8
     assert all(a < b for a, b in zip(widths, widths[1:]))
 
 
 def test_cosine_bits_validation():
-    with pytest.raises(ValueError):
-        cosine_bits(5, 10, 32, 8, 1.5)
+    for mode in ("cosine", "dynamic"):
+        with pytest.raises(ValueError, match=r"^nu must lie in \[0, 1\], got 1.5$"):
+            schedule_bits(ScheduleConfig(mode=mode), 5, 11, 1.5)
+    # static reads neither t nor nu
+    assert schedule_bits(ScheduleConfig(mode="static", bits=8), 5, 11, 1.5) == 8
 
 
 def test_round_bits_half_up_and_clamp():
-    assert round_bits(8.5, 2, 32) == 9
-    assert round_bits(31.99, 2, 32) == 32
-    assert round_bits(8.49, 2, 32) == 8
-    assert round_bits(1.2, 2, 32) == 2
-    assert round_bits(40.0, 2, 32) == 32
-    assert round_bits(9.5, 2, 32) == 10  # half always rounds up, never to even
+    def bits(lo, hi, nu, t):
+        return schedule_bits(ScheduleConfig(mode="cosine", b_max=hi, b_min=lo), t, 10, nu)
+
+    assert bits(8, 9, 0.5, 0) == 9  # 8.5 rounds up, never to even
+    assert bits(9, 10, 0.5, 0) == 10
+    assert bits(8, 9, 0.49, 0) == 8
 
 
-@pytest.mark.parametrize("b", [float("nan"), float("inf"), -float("inf")])
-def test_round_bits_refuses_a_non_finite_width(b):
-    with pytest.raises(ValueError, match=rf"^cannot round non-finite width {b}$"):
-        round_bits(b, 2, 32)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(0.0, 64.0), st.integers(2, 16), st.integers(16, 32))
-def test_round_bits_always_in_range(b, lo, hi):
-    out = round_bits(b, lo, hi)
-    assert lo <= out <= hi
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["cosine", "dynamic"]),
+    st.integers(-10**6, 10**6),
+    st.integers(0, 5000),
+    st.lists(st.integers(2, 32), min_size=2, max_size=2).map(sorted),
+    st.one_of(st.sampled_from([0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0]), st.floats(0.0, 1.0)),
+)
+def test_round_bits_always_in_range(mode, t, rounds, bounds, nu):
+    lo, hi = bounds
+    out = schedule_bits(ScheduleConfig(mode=mode, b_max=hi, b_min=lo), t, rounds, nu)
+    assert type(out) is int and lo <= out <= hi
+    width = lo + nu * (hi - lo) * (1.0 + math.cos(math.pi * t / max(rounds - 1, 1))) / 2.0
+    assert abs(out - width) <= 0.5 + 1e-9
 
 
 def test_normalized_entropy_examples():
-    assert normalized_entropy(np.array([10, 10, 10, 10])) == 1.0
-    assert normalized_entropy(np.array([7, 0, 0])) == 0.0
-    assert abs(normalized_entropy(np.array([1, 1, 0, 0])) - 0.5) < 1e-12
+    # lambda_h = 1 weights the entropy term alone
+    assert client_importance(np.array([10, 10, 10, 10]), 40, 1.0) == 1.0
+    # float noise puts a uniform 14-class entropy 2 ulp past 1 before the clamp
+    assert client_importance(np.full(14, 3), 42, 1.0) == 1.0
+    assert client_importance(np.array([7, 0, 0]), 7, 1.0) == 0.0
+    assert abs(client_importance(np.array([1, 1, 0, 0]), 2, 1.0) - 0.5) < 1e-12
 
 
 def test_normalized_entropy_validation():
-    with pytest.raises(ValueError):
-        normalized_entropy(np.array([0, 0]))
+    with pytest.raises(ValueError, match="positive"):
+        client_importance(np.array([0, 0]), 1, 1.0)
 
 
 def test_client_importance_pure_entropy_and_pure_size():
@@ -102,7 +110,7 @@ def test_client_importance_pure_entropy_and_pure_size():
 
 def test_client_importance_is_convex_mix():
     counts = np.array([6, 2])
-    h = normalized_entropy(counts)
+    h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))  # over log2(2) = 1
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         expected = lam * h + (1 - lam) * 0.5
         assert abs(client_importance(counts, 16, lam) - expected) < 1e-15
