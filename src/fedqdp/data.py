@@ -225,28 +225,16 @@ def power_law_two_class_partition(
 
 
 def synthetic_blobs(
-    num_classes: int,
-    input_dim: int,
-    samples_per_class: int,
-    spread: float,
-    rng: np.random.Generator,
+    cfg: BlobsConfig, samples_per_class: int, rng: np.random.Generator
 ) -> LabeledDataset:
     """Isotropic Gaussian blobs, one per class, centred on a unit lattice.
 
     Class k's mean is the k-th point of {0, 1, 2, ...}^input_dim in
     row-major order, so distinct classes are at least distance 1 apart.
     Samples are in class-major order; spread = 0 puts every sample exactly
-    on its mean.
+    on its mean. BlobsConfig has checked every range.
     """
-    # kept beside BlobsConfig's checks: with input_dim 0 the lattice loop below never ends
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if input_dim < 1:
-        raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-    if samples_per_class < 1:
-        raise ValueError(f"samples_per_class must be >= 1, got {samples_per_class}")
-    if not np.isfinite(spread) or spread < 0:
-        raise ValueError(f"spread must be non-negative and finite, got {spread}")
+    num_classes, input_dim, spread = cfg.num_classes, cfg.input_dim, cfg.spread
     side = 1
     while side**input_dim < num_classes:
         side += 1
@@ -310,8 +298,7 @@ def make_datasets(
     test images sized unlike the training images raise IdxParseError."""
     if isinstance(data_cfg, BlobsConfig):
         return tuple(
-            synthetic_blobs(data_cfg.num_classes, data_cfg.input_dim, per_class, data_cfg.spread,
-                            streams.substream(seed, streams.DATA, i))
+            synthetic_blobs(data_cfg, per_class, streams.substream(seed, streams.DATA, i))
             for i, per_class in enumerate((data_cfg.train_per_class, data_cfg.test_per_class))
         )
     splits = [load_idx(images, labels) for images, labels in (

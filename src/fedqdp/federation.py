@@ -127,8 +127,6 @@ def evaluate(spec: ModelSpec, params: ParamSet, dataset: LabeledDataset) -> floa
     matmul's in the last bits.
     """
     n = len(dataset)
-    if n == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
     for start in range(0, n, EVAL_ROWS):
         rows = slice(start, start + EVAL_ROWS)
@@ -208,8 +206,6 @@ def client_update(
 
 def aggregate(uploads: list[QuantizedParamSet], sizes: list[int]) -> ParamSet:
     """Average of the dequantized uploads, weighted by the senders' dataset sizes."""
-    if not uploads:
-        raise ValueError("cannot aggregate zero uploads")
     total = float(sum(sizes))
     layout = uploads[0].layout
     acc = np.zeros(layout.size)

@@ -260,7 +260,7 @@ def l1_distance(a: ParamSet, b: ParamSet) -> float:
     if total == np.inf and np.isinf(diff).any():
         bad = next(name for name, _, off, size in a.layout.entries
                    if np.isinf(diff[off : off + size]).any())
-        raise ValueError(f"tensor {bad!r} contains non-finite values")
+        raise ValueError(f"the difference in tensor {bad!r} overflows")
     return total
 
 

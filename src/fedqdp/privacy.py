@@ -149,8 +149,6 @@ def noise_scale(
     2014) gives an expected total of epsilon * E. A scale past the float
     range raises ValueError naming epsilon.
     """
-    if not np.isfinite(sensitivity_value) or sensitivity_value < 0:
-        raise ValueError(f"sensitivity must be non-negative and finite, got {sensitivity_value}")
     factor = (participants * rounds) / (num_clients * local_epochs)
     scale = factor * float(sensitivity_value) / dp.epsilon
     if not math.isfinite(scale):
@@ -167,8 +165,6 @@ def laplace_noise(scale: float, like: ParamSet, rng: np.random.Generator) -> Par
     evaluated in that order in two buffers. Scale 0 draws its uniforms
     like any other scale and gives zeros, some of which may be -0.0.
     """
-    if not np.isfinite(scale) or scale < 0:
-        raise ValueError(f"scale must be non-negative and finite, got {scale}")
     u = rng.random(like.num_elements)
     u -= 0.5
     inner = np.abs(u)

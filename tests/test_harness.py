@@ -1,12 +1,14 @@
 """Config parsing, metrics export, comparison, and the CLI."""
 
 import ast
+import importlib
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import tomllib
 from dataclasses import fields
 from pathlib import Path
 
@@ -654,6 +656,26 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(summary) == 3
 
 
+def test_null_sections_mean_omitted_for_model_and_dp_only(tmp_path, capsys):
+    assert parse_config_dict({**SMALL_RAW, "model": None}) == parse_config_dict(SMALL_RAW)
+    assert parse_config_dict({**SMALL_RAW, "dp": None}).dp is None
+    for section in ("schedule", "data", "partition"):
+        with pytest.raises(ConfigError, match=f"^{section} must be an object, got NoneType$"):
+            parse_config_dict({**SMALL_RAW, section: None})
+    # so a sweep over dp runs one cell without DP and one with it
+    cfg = _write_config(tmp_path)
+    dp = {"epsilon": 100.0, "xi": 1.0}
+    grid = json.dumps({"dp": [None, dp]})
+    assert main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(tmp_path / "s")]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+    cells = [tmp_path / "s" / "cell_000", tmp_path / "s" / "cell_001"]
+    for cell, raw_dp in zip(cells, (None, dp)):
+        assert json.loads((cell / "manifest.json").read_text())["config"]["dp"] == raw_dp
+    plain = (tmp_path / "plain" / "metrics.csv").read_bytes()
+    assert (cells[0] / "metrics.csv").read_bytes() == plain
+    assert (cells[1] / "metrics.csv").read_bytes() != plain
+
+
 def test_cli_parses_each_config_once(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -796,6 +818,14 @@ def test_cli_run_refuses_an_overflowing_input_by_name(tmp_path, capsys, key, val
     err = capsys.readouterr().err
     assert "overflows" in err and named in err
     assert "Warning" not in err and "Traceback" not in err
+
+
+def test_console_script_names_a_callable_in_the_cli():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    target = tomllib.loads(pyproject)["project"]["scripts"]["fedqdp"]
+    assert target == "fedqdp.cli:main"
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_cli_out_env_default(tmp_path):

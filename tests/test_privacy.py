@@ -289,9 +289,6 @@ def test_noise_scale_participation_factor():
 
 
 def test_noise_scale_validation():
-    dp = DpConfig(epsilon=1.0, xi=1.0)
-    with pytest.raises(ValueError):
-        noise_scale(-1.0, dp, 1, 1, 1, 1)
     with pytest.raises(ValueError, match="noise scale overflows at epsilon=5e-324"):
         noise_scale(np.float64(1.0), DpConfig(epsilon=5e-324, xi=1.0), 1, 1, 1, 1)
 
@@ -370,7 +367,5 @@ def test_laplace_noise_statistics():
 
 def test_laplace_noise_validation():
     like = ParamSet({"w": np.zeros(2)})
-    with pytest.raises(ValueError):
-        laplace_noise(-1.0, like, np.random.default_rng(0))
     with pytest.raises(ValueError):
         laplace_noise(np.inf, like, np.random.default_rng(0))
