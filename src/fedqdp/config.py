@@ -129,12 +129,15 @@ def load_config_dict(path: str | Path) -> dict:
 
 
 def apply_override(raw: dict, dotted_key: str, value) -> dict:
-    """Return a copy of raw with the dotted key set, e.g. 'schedule.b_min'."""
+    """Return a copy of raw with the dotted key set, e.g. 'schedule.b_min'.
+    A missing or null section on the way is created empty."""
     out = copy.deepcopy(raw)
     parts = dotted_key.split(".")
     node = out
     for part in parts[:-1]:
-        node = node.setdefault(part, {})
+        if node.get(part) is None:
+            node[part] = {}
+        node = node[part]
         if not isinstance(node, dict):
             raise ConfigError(f"cannot descend into non-object at {part!r} in {dotted_key!r}")
     node[parts[-1]] = value

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, cycle, islice, product
 
 import numpy as np
 
@@ -121,29 +121,40 @@ def _validate_partition_args(labels: np.ndarray, num_clients: int) -> np.ndarray
     return labels
 
 
-def _classes_present(labels: np.ndarray) -> np.ndarray:
-    """Ascending ids of the classes that label at least one sample."""
-    return np.flatnonzero(np.bincount(labels))
+def power_law_pairs(class_sizes: np.ndarray, num_clients: int) -> list[tuple[int, int]]:
+    """Each client's two classes under the power-law scheme, as positions
+    among the classes present in class_sizes (samples per class id): client
+    i takes the (i mod P)-th of their P lexicographic pairs. Raises unless
+    two classes are present and each has a sample for every client whose
+    pair holds it."""
+    present = np.flatnonzero(class_sizes)
+    if present.size < 2:
+        raise ValueError("power-law partitioning needs at least 2 classes present")
+    # cycle keeps only the pairs it has handed out: at most num_clients
+    pair_of = list(islice(cycle(combinations(range(present.size), 2)), num_clients))
+    demand = np.bincount(np.ravel(pair_of), minlength=present.size)
+    for cls, size, need in zip(present.tolist(), class_sizes[present].tolist(), demand.tolist()):
+        if need > size:
+            raise ValueError(f"class {cls} has {size} samples but {need} clients need one")
+    return pair_of
 
 
 def dirichlet_partition(
-    labels: np.ndarray, num_clients: int, alpha: float, rng: np.random.Generator
+    labels: np.ndarray, num_clients: int, cfg: PartitionConfig, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Split sample indices across clients with per-class Dirichlet proportions.
 
-    Every index is assigned exactly once. Small alpha concentrates each
+    Every index is assigned exactly once. Small cfg.alpha concentrates each
     class on few clients. Clients left empty by the draw steal one sample
     from the currently largest client, so every client ends non-empty.
     """
     labels = _validate_partition_args(labels, num_clients)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     n = labels.size
     owner = np.empty(n, dtype=np.int64)  # each sample's client
-    for cls in _classes_present(labels):
+    for cls in np.flatnonzero(np.bincount(labels)):  # the classes present, ascending
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        proportions = rng.dirichlet(np.full(num_clients, alpha))
+        proportions = rng.dirichlet(np.full(num_clients, cfg.alpha))
         cuts = (np.cumsum(proportions)[:-1] * idx.size).astype(np.int64)
         # cuts rise and stay within idx.size, so the client of each position
         # is the number of cuts at or before it, as np.split(idx, cuts)
@@ -167,15 +178,14 @@ def dirichlet_partition(
 def power_law_two_class_partition(
     labels: np.ndarray,
     num_clients: int,
-    exponent: float,
+    cfg: PartitionConfig,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Give each client two classes and a power-law share of the samples.
 
-    Class pairs cycle through the lexicographic two-class combinations of
-    the classes present. Client i targets a share proportional to
-    (i + 1)^(-exponent) of the full dataset, never below one sample per
-    class. Raises when some class cannot supply the one-per-class minimum.
+    Client i takes the pair power_law_pairs gives it (raising as it does)
+    and targets a share proportional to (i + 1)^(-cfg.exponent) of the
+    full dataset, never below one sample per class.
 
     Not every sample is assigned. A client whose class runs dry takes only
     what is left of it, and no other client takes up the shortfall. With
@@ -185,25 +195,15 @@ def power_law_two_class_partition(
     counts them.
     """
     labels = _validate_partition_args(labels, num_clients)
-    if not np.isfinite(exponent) or exponent < 0:
-        raise ValueError(f"exponent must be non-negative and finite, got {exponent}")
-    present = _classes_present(labels)
-    if present.size < 2:
-        raise ValueError("power-law partitioning needs at least 2 classes present")
-    pairs = list(combinations(range(present.size), 2))
-    pair_of = [pairs[i % len(pairs)] for i in range(num_clients)]
-
+    class_sizes = np.bincount(labels)
+    pair_of = power_law_pairs(class_sizes, num_clients)
     pools = []
-    for cls in present:
+    for cls in np.flatnonzero(class_sizes):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         pools.append(idx)
-    demand = np.bincount(np.ravel(pair_of), minlength=present.size)
-    for cls, pool, need in zip(present.tolist(), pools, demand.tolist()):
-        if need > pool.size:
-            raise ValueError(f"class {cls} has {pool.size} samples but {need} clients need one")
 
-    weights = (np.arange(1, num_clients + 1, dtype=np.float64)) ** (-exponent)
+    weights = (np.arange(1, num_clients + 1, dtype=np.float64)) ** (-cfg.exponent)
     shares = weights / weights.sum()
     targets = np.maximum(2, np.rint(shares * labels.size).astype(np.int64))
 
@@ -320,5 +320,5 @@ def partition_dataset(
     the seed's partition stream."""
     gen = streams.substream(seed, streams.PARTITION)
     if partition.scheme == "dirichlet":
-        return dirichlet_partition(train.labels, num_clients, partition.alpha, gen)
-    return power_law_two_class_partition(train.labels, num_clients, partition.exponent, gen)
+        return dirichlet_partition(train.labels, num_clients, partition, gen)
+    return power_law_two_class_partition(train.labels, num_clients, partition, gen)

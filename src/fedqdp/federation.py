@@ -27,6 +27,7 @@ from fedqdp.data import (
     PartitionConfig,
     make_datasets,
     partition_dataset,
+    power_law_pairs,
 )
 from fedqdp.models import (
     ModelSpec,
@@ -92,6 +93,9 @@ class ExperimentConfig:
             samples = self.data.num_classes * self.data.train_per_class
             if samples < self.num_clients:
                 raise ValueError(f"{samples} training samples cannot cover {self.num_clients} clients")
+            if self.partition.scheme == "power_law":
+                sizes = np.full(self.data.num_classes, self.data.train_per_class)
+                power_law_pairs(sizes, self.num_clients)
 
 
 @dataclass(frozen=True)

@@ -32,18 +32,12 @@ SCALE_BITS = 32
 TAG_BITS = 8
 
 
-def _check_bits(bits: int) -> int:
-    b = int(bits)
-    if b != bits or not (BITS_MIN <= b <= BITS_MAX):
-        raise ValueError(f"bits must be an integer in [{BITS_MIN}, {BITS_MAX}], got {bits}")
-    return b
-
-
 def code_dtype(bits: int) -> np.dtype:
     """Narrowest signed integer type holding a b-bit code: int8 up to 8
-    bits, int16 up to 16, int32 up to 32."""
-    b = _check_bits(bits)
-    return np.dtype(np.int8 if b <= 8 else np.int16 if b <= 16 else np.int32)
+    bits, int16 up to 16, int32 up to 32; any other width raises."""
+    if int(bits) != bits or not (BITS_MIN <= bits <= BITS_MAX):
+        raise ValueError(f"bits must be an integer in [{BITS_MIN}, {BITS_MAX}], got {bits}")
+    return np.dtype(np.int8 if bits <= 8 else np.int16 if bits <= 16 else np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +66,8 @@ class QuantizedParamSet:
 
 def comm_cost(layout: Layout, bits: int) -> int:
     """Bits to transmit one parameter message of the given layout quantized
-    at the given width."""
-    return layout.size * _check_bits(bits) + len(layout) * (SCALE_BITS + TAG_BITS)
+    at the given width, one that QuantizedParamSet accepts."""
+    return layout.size * bits + len(layout) * (SCALE_BITS + TAG_BITS)
 
 
 def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> QuantizedParamSet:
@@ -84,8 +78,8 @@ def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> Qu
     clips into [-(2^(b-1) - 1), 2^(b-1) - 1]. One draw covers the whole
     vector in layout order, the same stream as one draw per tensor in turn.
     """
-    b = _check_bits(bits)
-    bound = float(2 ** (b - 1) - 1)
+    dtype = code_dtype(bits)  # refuses a bad width before any work
+    bound = float(2 ** (bits - 1) - 1)
     layout = params.layout
     flat = params.vector
     scales = np.empty(len(layout))
@@ -101,7 +95,7 @@ def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> Qu
     scaled -= codes  # the fractional parts
     codes += rng.random(flat.size) < scaled
     np.clip(codes, -bound, bound, out=codes)
-    return QuantizedParamSet(layout, codes.astype(code_dtype(b)), scales, b)
+    return QuantizedParamSet(layout, codes.astype(dtype), scales, bits)
 
 
 def dequantize_params(q: QuantizedParamSet) -> ParamSet:

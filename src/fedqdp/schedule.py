@@ -48,12 +48,10 @@ def client_importance(label_counts: np.ndarray, n_max: int, lambda_h: float) -> 
     label_counts gives, C >= 2 its length (the class count) and n its sum
     (the dataset size); n_max is the largest dataset size among the round's
     clients. The entropy term is 0 for a single-class dataset and 1 for a
-    uniform one.
+    uniform one. n must be at least 1, as every partitioner's shard is.
     """
     counts = np.asarray(label_counts, dtype=np.float64)
     total = counts.sum()
-    if total <= 0:
-        raise ValueError("label_counts must sum to a positive value")
     p = counts[counts > 0] / total
     h = -np.sum(p * np.log2(p)) / np.log2(counts.size)
     # float noise can push a uniform distribution a few ulp past 1
@@ -72,8 +70,6 @@ def schedule_bits(cfg: ScheduleConfig, t: int, rounds: int, nu: float = 1.0) -> 
     """
     if cfg.mode == "static":
         return cfg.bits
-    if not (0.0 <= nu <= 1.0):
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
     horizon = max(rounds - 1, 1)
     b = cfg.b_min + nu * (cfg.b_max - cfg.b_min) * (1.0 + np.cos(np.pi * t / horizon)) / 2.0
     # nu and the cosine factor lie in [0, 1], so b_min <= b <= b_max: no clamp

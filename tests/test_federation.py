@@ -84,9 +84,6 @@ def test_comm_cost_formula():
     layout = ParamSet({"w": np.ones((10, 100)), "b": np.ones(10)}).layout
     assert comm_cost(layout, 8) == 1010 * 8 + 2 * 40
     assert comm_cost(layout, 32) == 1010 * 32 + 2 * 40
-    for bad in (1, 33, 8.5):
-        with pytest.raises(ValueError, match="bits must be an integer"):
-            comm_cost(layout, bad)
 
 
 def test_train_round_refuses_an_upload_at_another_width(monkeypatch):

@@ -203,6 +203,14 @@ def test_readme_config_example_parses():
     assert cfg.num_clients == raw["clients"] and cfg.dp.epsilon == raw["dp"]["epsilon"]
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    test_acc, bits = capsys.readouterr().out.split()
+    assert 0.0 <= float(test_acc) <= 1.0 and int(bits) > 0
+
+
 def test_integer_fields_reject_floats_strings_and_bools(tmp_path, capsys):
     with pytest.raises(ConfigError, match="rounds"):
         parse_config_dict({"rounds": 2.7})
@@ -674,6 +682,16 @@ def test_null_sections_mean_omitted_for_model_and_dp_only(tmp_path, capsys):
     plain = (tmp_path / "plain" / "metrics.csv").read_bytes()
     assert (cells[0] / "metrics.csv").read_bytes() == plain
     assert (cells[1] / "metrics.csv").read_bytes() != plain
+    # and a grid may set keys inside a null dp section, as inside a missing one
+    base = tmp_path / "null_dp.json"
+    base.write_text(json.dumps({**SMALL_RAW, "dp": None}))
+    grid = json.dumps({"dp.epsilon": [10000.0], "dp.xi": [100.0]})
+    assert main(["sweep", "--config", str(base), "--grid", grid, "--out", str(tmp_path / "n")]) == 0
+    with_dp = tmp_path / "with_dp.json"
+    with_dp.write_text(json.dumps({**SMALL_RAW, "dp": {"epsilon": 10000.0, "xi": 100.0}}))
+    assert main(["run", "--config", str(with_dp), "--out", str(tmp_path / "dp")]) == 0
+    assert ((tmp_path / "n" / "cell_000" / "metrics.csv").read_bytes()
+            == (tmp_path / "dp" / "metrics.csv").read_bytes())
 
 
 def test_cli_parses_each_config_once(tmp_path, capsys, monkeypatch):
@@ -731,6 +749,15 @@ def test_cli_sweep_invalid_cell_runs_nothing(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--grid", grid, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "model input_dim 2 != data input_dim 3" in err and "Traceback" not in err
+    assert not out.exists()
+    # so are power-law clients that some blob class cannot give one sample
+    # each: 6 clients cycle through 3 pairs, and class 0 has 2 samples for 4
+    path.write_text(json.dumps(dict(SMALL_RAW, data={"num_classes": 3, "train_per_class": 2},
+                                    partition={"scheme": "power_law"})))
+    grid = json.dumps({"clients": [3, 6]})
+    assert main(["sweep", "--config", str(path), "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'clients': 6" in err and "class 0 has 2 samples but 4 clients need one" in err
     assert not out.exists()
 
 

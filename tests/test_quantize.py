@@ -192,10 +192,10 @@ def test_quantize_validation():
     # a ParamSet refuses non-finite values, so none can reach the quantizer
     with pytest.raises(ValueError):
         ParamSet({"t": np.array([1.0, np.nan])})
-    with pytest.raises(ValueError):
-        _quantize_one(np.ones(3), 1, rng)
-    with pytest.raises(ValueError):
-        _quantize_one(np.ones(3), 64, rng)
+    # code_dtype is the one check of a width, and quantize_params meets it first
+    for bad in (1, 33, 8.5, 64, 10**6):
+        with pytest.raises(ValueError, match=r"^bits must be an integer in \[2, 32\], got "):
+            _quantize_one(np.ones(3), bad, rng)
 
 
 def test_quantized_param_set_validation():
@@ -348,7 +348,7 @@ def test_code_dtype_is_narrowest_signed_type():
     assert [code_dtype(b) for b in (2, 8, 9, 16, 17, 32)] == [
         np.int8, np.int8, np.int16, np.int16, np.int32, np.int32]
     for bad in (1, 33, 8.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bits must be an integer in \[2, 32\], got "):
             code_dtype(bad)
 
 

@@ -52,14 +52,6 @@ def test_cosine_bits_monotone_in_nu():
     assert all(a < b for a, b in zip(widths, widths[1:]))
 
 
-def test_cosine_bits_validation():
-    for mode in ("cosine", "dynamic"):
-        with pytest.raises(ValueError, match=r"^nu must lie in \[0, 1\], got 1.5$"):
-            schedule_bits(ScheduleConfig(mode=mode), 5, 11, 1.5)
-    # static reads neither t nor nu
-    assert schedule_bits(ScheduleConfig(mode="static", bits=8), 5, 11, 1.5) == 8
-
-
 def test_round_bits_half_up_and_clamp():
     def bits(lo, hi, nu, t):
         return schedule_bits(ScheduleConfig(mode="cosine", b_max=hi, b_min=lo), t, 10, nu)
@@ -94,11 +86,6 @@ def test_normalized_entropy_examples():
     assert abs(client_importance(np.array([1, 1, 0, 0]), 2, 1.0) - 0.5) < 1e-12
 
 
-def test_normalized_entropy_validation():
-    with pytest.raises(ValueError, match="positive"):
-        client_importance(np.array([0, 0]), 1, 1.0)
-
-
 def test_client_importance_pure_entropy_and_pure_size():
     uniform = np.array([5, 5])
     assert client_importance(uniform, 20, 1.0) == 1.0
@@ -130,15 +117,11 @@ def test_client_importance_in_unit_interval(counts, lam, extra):
     assert 0.0 <= nu <= 1.0
 
 
-def test_importance_inputs_validation():
-    # the dataset size is read off label_counts, and an empty one has no entropy
-    with pytest.raises(ValueError, match="positive"):
-        client_importance(np.array([0, 0]), 4, 0.5)
-
-
 def test_schedule_bits_static():
     cfg = ScheduleConfig(mode="static", bits=8)
     assert [schedule_bits(cfg, t, 100) for t in (0, 50, 99)] == [8, 8, 8]
+    # static reads neither t nor nu
+    assert schedule_bits(cfg, 5, 11, 1.5) == 8
 
 
 def test_schedule_bits_cosine_endpoints():
