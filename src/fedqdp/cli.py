@@ -106,15 +106,16 @@ def _cmd_compare(args) -> int:
 
 
 def _load_grid(arg: str) -> dict:
-    """Grid argument: a path to a JSON file, or inline JSON."""
+    """Grid argument: a path to a JSON file, read as a config file is, or inline JSON."""
     path = Path(arg)
     try:
         is_path = path.exists()
     except OSError:  # inline JSON longer than the OS allows for a file name
         is_path = False
-    text = path.read_text() if is_path else arg
+    if is_path:
+        return load_config_dict(path)
     try:
-        grid = json.loads(text)
+        grid = json.loads(arg)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"grid is neither a file nor valid JSON: {exc}") from exc
     if not isinstance(grid, dict):
@@ -143,7 +144,8 @@ def _cmd_sweep(args) -> int:
         rows.append(
             [
                 cell_dir.name,
-                *[overrides[k] for k in keys],
+                # a string as it is, any other value as the JSON a grid would hold
+                *[v if isinstance(v, str) else json.dumps(v) for v in map(overrides.get, keys)],
                 summary["total_bits"],
                 "" if summary["best_test_acc"] is None else f"{summary['best_test_acc']:.6f}",
                 "" if summary["best_round"] is None else summary["best_round"],
@@ -190,7 +192,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    # MemoryError: a config in range whose arrays are too large to allocate
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"fedqdp {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

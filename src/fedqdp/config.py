@@ -117,8 +117,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config_dict(path: str | Path) -> dict:
-    """Read a JSON config file into a raw dict."""
-    text = Path(path).read_text()
+    """Read a JSON object from a UTF-8 file, a config or a grid, into a dict."""
+    text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -46,6 +46,13 @@ from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 EVAL_ROWS = 128
 
 
+def _check_model_fits(model: ModelSpec, data: BlobsConfig | LabeledDataset) -> None:
+    """Refuse a model whose input_dim or num_classes differs from the data's."""
+    for name in ("input_dim", "num_classes"):
+        if getattr(model, name) != getattr(data, name):
+            raise ValueError(f"model {name} {getattr(model, name)} != data {name} {getattr(data, name)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelSpec
@@ -84,12 +91,7 @@ class ExperimentConfig:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         # IDX dimensions are known only once the files are loaded (run_experiment)
         if isinstance(self.data, BlobsConfig):
-            for name in ("input_dim", "num_classes"):
-                if getattr(self.model, name) != getattr(self.data, name):
-                    raise ValueError(
-                        f"model {name} {getattr(self.model, name)} != "
-                        f"data {name} {getattr(self.data, name)}"
-                    )
+            _check_model_fits(self.model, self.data)
             samples = self.data.num_classes * self.data.train_per_class
             if samples < self.num_clients:
                 raise ValueError(f"{samples} training samples cannot cover {self.num_clients} clients")
@@ -277,14 +279,8 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
     the final round.
     """
     train, test = make_datasets(cfg.data, cfg.seed)
-    if cfg.model.input_dim != train.input_dim:
-        raise ValueError(
-            f"model input_dim {cfg.model.input_dim} != dataset input_dim {train.input_dim}"
-        )
-    if cfg.model.num_classes != train.num_classes:
-        raise ValueError(
-            f"model num_classes {cfg.model.num_classes} != dataset classes {train.num_classes}"
-        )
+    if isinstance(cfg.data, IdxConfig):  # blob dimensions were checked with the config
+        _check_model_fits(cfg.model, train)
     shards = partition_dataset(train, cfg.partition, cfg.num_clients, cfg.seed)
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
 

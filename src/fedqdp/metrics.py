@@ -40,7 +40,7 @@ def _atomic_write(path: str | Path, newline: str | None = None):
     once the block finishes, so a failed write leaves the old file intact."""
     tmp = Path(path).with_name(f".{Path(path).name}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as f:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
             yield f
         os.replace(tmp, path)
     finally:
@@ -100,7 +100,7 @@ def read_records(path: str | Path) -> list[dict]:
     """
     path = _csv_path(path)
     rows = []
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         if tuple(reader.fieldnames or ()) != COLUMNS:
             raise ValueError(f"{path}:1: unexpected columns {reader.fieldnames}")

@@ -73,13 +73,11 @@ class BatchTrace:
 def compute_e0(lambda_i: float, eta: float, dataset_size: int) -> int:
     """Smallest integer e with (1 + lambda_i * eta)^e >= 1 + dataset_size.
 
-    Requires lambda_i > 0 and a growth factor strictly above 1. The log
-    ratio lands within a few epochs of e0; two short loops then settle it
-    with the float power test of the definition.
+    Requires a growth factor strictly above 1, which its caller,
+    sensitivity, tests first. The log ratio lands within a few epochs of
+    e0; two short loops then settle it with the float power test.
     """
     growth = 1.0 + lambda_i * eta
-    if growth <= 1.0:
-        raise ValueError(f"growth factor 1 + lambda_i * eta rounds to {growth}, cannot reach the target")
     target = 1.0 + dataset_size
     e = math.ceil(math.log(target) / math.log(growth))
     while e > 0 and growth ** (e - 1) >= target:

@@ -473,11 +473,11 @@ def test_model_dataset_mismatch_rejected(tmp_path):
     data = IdxConfig(str(images), str(labels), str(images), str(labels))
     cfg = make_config(rounds=2, data=data, num_clients=2, clients_per_round=1,
                       model=ModelSpec("logistic", input_dim=5, num_classes=3))
-    with pytest.raises(ValueError, match="input_dim"):
+    with pytest.raises(ValueError, match="^model input_dim 5 != data input_dim 4$"):
         run_experiment(cfg)
     cfg = make_config(rounds=2, data=data, num_clients=2, clients_per_round=1,
                       model=ModelSpec("logistic", input_dim=4, num_classes=4))
-    with pytest.raises(ValueError, match="classes"):
+    with pytest.raises(ValueError, match="^model num_classes 4 != data num_classes 3$"):
         run_experiment(cfg)
 
 

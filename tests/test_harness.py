@@ -1,11 +1,14 @@
 """Config parsing, metrics export, comparison, and the CLI."""
 
 import ast
+import csv
 import importlib
 import json
 import os
 import platform
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 import tomllib
@@ -195,7 +198,7 @@ def test_schema_is_the_dataclass_fields():
 
 
 def test_readme_config_example_parses():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration", 1)[1]
     example = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
     raw = json.loads(re.sub(r"//.*", "", example))
@@ -204,11 +207,24 @@ def test_readme_config_example_parses():
 
 
 def test_readme_library_example_runs(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(example, "README.md", "exec"), {})
     test_acc, bits = capsys.readouterr().out.split()
     assert 0.0 <= float(test_acc) <= 1.0 and int(bits) > 0
+
+
+def test_readme_quickstart_commands_run(tmp_path, monkeypatch, capsys):
+    repo = Path(__file__).resolve().parents[1]
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("fedqdp ")]
+    assert lines and lines[-1].startswith("fedqdp compare ")
+    shutil.copytree(repo / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    assert re.search(r"^ratio: \d", capsys.readouterr().out, re.MULTILINE)
 
 
 def test_integer_fields_reject_floats_strings_and_bools(tmp_path, capsys):
@@ -614,7 +630,7 @@ def test_cli_compare_refuses_values_of_the_wrong_type(tmp_path, capsys):
             bad[f"{key}_{i}.csv"] = (f"{header}\n{','.join(row)}", f"{key} must be {need}, got {cell!r}")
     for name, (text, message) in bad.items():
         path = tmp_path / name
-        path.write_text(text + "\n")
+        path.write_text(text + "\n", encoding="utf-8")
         assert main(["compare", str(good), str(path)]) == 2, name
         err = capsys.readouterr().err
         assert f"{path}:2: {message}\n" in err and "Traceback" not in err
@@ -682,6 +698,9 @@ def test_null_sections_mean_omitted_for_model_and_dp_only(tmp_path, capsys):
     plain = (tmp_path / "plain" / "metrics.csv").read_bytes()
     assert (cells[0] / "metrics.csv").read_bytes() == plain
     assert (cells[1] / "metrics.csv").read_bytes() != plain
+    # summary.csv holds each override as the JSON the grid gave
+    with open(tmp_path / "s" / "summary.csv", newline="", encoding="utf-8") as f:
+        assert [row["dp"] for row in csv.DictReader(f)] == ["null", json.dumps(dp)]
     # and a grid may set keys inside a null dp section, as inside a missing one
     base = tmp_path / "null_dp.json"
     base.write_text(json.dumps({**SMALL_RAW, "dp": None}))
@@ -855,19 +874,65 @@ def test_console_script_names_a_callable_in_the_cli():
     assert callable(getattr(importlib.import_module(module), name))
 
 
+def _child_env(**extra) -> dict:
+    """The environment for a child Python that runs this process's fedqdp.
+
+    The child may run elsewhere than here, where a relative PYTHONPATH such
+    as "src" points at nothing; so the directory holding the fedqdp this
+    process imported goes first on its PYTHONPATH."""
+    package_root = str(Path(fedqdp.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(
+        os.environ,
+        **extra,
+        PYTHONPATH=os.pathsep.join([package_root, inherited]) if inherited else package_root,
+    )
+
+
+def test_config_and_grid_files_are_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale with Python's UTF-8 mode and locale coercion off, as
+    # on a C-locale POSIX box; no file of these names is ever opened
+    name = "donn\u00e9es/train-images.idx"
+    raw = dict(SMALL_RAW, model={"kind": "logistic", "input_dim": 4, "num_classes": 3},
+               data={"kind": "idx", "train_images": name, "train_labels": "l.idx",
+                     "test_images": "t.idx", "test_labels": "tl.idx"})
+    config, grid = tmp_path / "cfg.json", tmp_path / "grid.json"
+    config.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+    grid.write_text(json.dumps({"data.train_images": [name]}, ensure_ascii=False),
+                    encoding="utf-8")
+    script = (
+        "import json, locale, sys\n"
+        "from fedqdp.cli import _load_grid\n"
+        "from fedqdp.config import load_config_dict, parse_config_dict\n"
+        "cfg = parse_config_dict(load_config_dict(sys.argv[1]))\n"
+        "print(json.dumps([locale.getpreferredencoding(False), cfg.data.train_images,\n"
+        "                  _load_grid(sys.argv[2])['data.train_images'][0]]))\n"
+    )
+    env = _child_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run([sys.executable, "-c", script, str(config), str(grid)],
+                          capture_output=True, text=True, env=env, cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    encoding, from_config, from_grid = json.loads(proc.stdout)
+    assert encoding.lower().replace("-", "") != "utf8"
+    assert from_config == from_grid == name
+
+
+def test_cli_config_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # in range, but 3 * 10**15 training labels need 21.3 PiB, which the
+    # allocator refuses outright: nothing is allocated, let alone touched
+    raw = load_config_dict(Path(__file__).resolve().parents[1] / "configs" / "blobs_cosine.json")
+    raw["data"]["train_per_class"] = 10**15
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Unable to allocate" in err and "Traceback" not in err
+
+
 def test_cli_out_env_default(tmp_path):
     cfg = _write_config(tmp_path)
     env_out = tmp_path / "envout"
-    # The child runs in tmp_path, where a relative PYTHONPATH such as "src"
-    # points at nothing; put the directory holding the fedqdp this process
-    # imported first, so the child runs the same package.
-    package_root = str(Path(fedqdp.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        FEDQDP_OUT=str(env_out),
-        PYTHONPATH=os.pathsep.join([package_root, inherited]) if inherited else package_root,
-    )
+    env = _child_env(FEDQDP_OUT=str(env_out))
     proc = subprocess.run(
         [sys.executable, "-m", "fedqdp.cli", "run", "--config", str(cfg)],
         capture_output=True, text=True, env=env, cwd=str(tmp_path),
