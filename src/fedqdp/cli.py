@@ -105,8 +105,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _load_grid(arg: str) -> dict:
-    """Grid argument: a path to a JSON file, read as a config file is, or inline JSON."""
+def _load_grid(arg: str) -> object:
+    """Grid argument: a path to a JSON file, read as a config file is, or
+    inline JSON, whose shape grid_cells checks."""
     path = Path(arg)
     try:
         is_path = path.exists()
@@ -115,12 +116,9 @@ def _load_grid(arg: str) -> dict:
     if is_path:
         return load_config_dict(path)
     try:
-        grid = json.loads(arg)
+        return json.loads(arg)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"grid is neither a file nor valid JSON: {exc}") from exc
-    if not isinstance(grid, dict):
-        raise ConfigError("grid must be a JSON object of dotted keys to value lists")
-    return grid
 
 
 def _cmd_sweep(args) -> int:

@@ -117,8 +117,9 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config_dict(path: str | Path) -> dict:
-    """Read a JSON object from a UTF-8 file, a config or a grid, into a dict."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a JSON object from a UTF-8 file, a config or a grid, into a dict.
+    A leading byte order mark is skipped, as RFC 8259 allows."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

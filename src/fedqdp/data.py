@@ -2,8 +2,9 @@
 
 Provides a synthetic Gaussian-blob classifier benchmark, an IDX image/label
 file loader, and two non-IID partitioners: per-class Dirichlet proportions
-and a two-class power-law size profile. Partitioners return sorted index
-arrays, one per client, each client non-empty. A run's data setup lives
+and a two-class power-law size profile. Partitioners take a LabeledDataset
+that covers its clients and return sorted index arrays, one per client,
+each client non-empty; they check nothing. A run's data setup lives
 here too: the data and partition configs, make_datasets and
 partition_dataset, each drawing from its own stream off the run's seed.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import combinations, cycle, islice, product
+from itertools import combinations, cycle, islice
 
 import numpy as np
 
@@ -45,6 +46,8 @@ class LabeledDataset:
             )
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if not np.issubdtype(self.labels.dtype, np.integer):  # bool is not an integer type
+            raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
         if len(self) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
 
@@ -105,22 +108,6 @@ class PartitionConfig:
             raise ValueError(f"exponent must be non-negative and finite, got {self.exponent}")
 
 
-def _validate_partition_args(labels: np.ndarray, num_clients: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError("labels must be a non-empty 1-D array")
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64, copy=False)  # bincount refuses uint64
-    if labels.min() < 0:
-        raise ValueError("labels must be non-negative")
-    if labels.size < num_clients:
-        raise ValueError(f"{labels.size} samples cannot cover {num_clients} clients")
-    return labels
-
-
 def power_law_pairs(class_sizes: np.ndarray, num_clients: int) -> list[tuple[int, int]]:
     """Each client's two classes under the power-law scheme, as positions
     among the classes present in class_sizes (samples per class id): client
@@ -140,7 +127,7 @@ def power_law_pairs(class_sizes: np.ndarray, num_clients: int) -> list[tuple[int
 
 
 def dirichlet_partition(
-    labels: np.ndarray, num_clients: int, cfg: PartitionConfig, rng: np.random.Generator
+    data: LabeledDataset, num_clients: int, cfg: PartitionConfig, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Split sample indices across clients with per-class Dirichlet proportions.
 
@@ -148,7 +135,7 @@ def dirichlet_partition(
     class on few clients. Clients left empty by the draw steal one sample
     from the currently largest client, so every client ends non-empty.
     """
-    labels = _validate_partition_args(labels, num_clients)
+    labels = data.labels.astype(np.int64, copy=False)  # bincount refuses uint64
     n = labels.size
     owner = np.empty(n, dtype=np.int64)  # each sample's client
     for cls in np.flatnonzero(np.bincount(labels)):  # the classes present, ascending
@@ -176,16 +163,13 @@ def dirichlet_partition(
 
 
 def power_law_two_class_partition(
-    labels: np.ndarray,
-    num_clients: int,
-    cfg: PartitionConfig,
-    rng: np.random.Generator,
+    data: LabeledDataset, num_clients: int, cfg: PartitionConfig, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Give each client two classes and a power-law share of the samples.
 
-    Client i takes the pair power_law_pairs gives it (raising as it does)
-    and targets a share proportional to (i + 1)^(-cfg.exponent) of the
-    full dataset, never below one sample per class.
+    Client i takes the pair power_law_pairs gives it and targets a share
+    proportional to (i + 1)^(-cfg.exponent) of the full dataset, never
+    below one sample per class.
 
     Not every sample is assigned. A client whose class runs dry takes only
     what is left of it, and no other client takes up the shortfall. With
@@ -194,7 +178,7 @@ def power_law_two_class_partition(
     classes 5-9 belong to no client, yet run_experiment's train_acc
     counts them.
     """
-    labels = _validate_partition_args(labels, num_clients)
+    labels = data.labels.astype(np.int64, copy=False)  # bincount refuses uint64
     class_sizes = np.bincount(labels)
     pair_of = power_law_pairs(class_sizes, num_clients)
     pools = []
@@ -229,17 +213,25 @@ def synthetic_blobs(
 ) -> LabeledDataset:
     """Isotropic Gaussian blobs, one per class, centred on a unit lattice.
 
-    Class k's mean is the k-th point of {0, 1, 2, ...}^input_dim in
-    row-major order, so distinct classes are at least distance 1 apart.
-    Samples are in class-major order; spread = 0 puts every sample exactly
-    on its mean. BlobsConfig has checked every range.
+    Class k's mean is k in base side, most significant digit first: the
+    k-th point of {0, ..., side - 1}^input_dim in row-major order, for the
+    least side with side**input_dim >= num_classes. So distinct classes
+    are at least distance 1 apart. Samples are in class-major order;
+    spread = 0 puts every sample exactly on its mean. BlobsConfig has
+    checked every range.
     """
     num_classes, input_dim, spread = cfg.num_classes, cfg.input_dim, cfg.spread
-    side = 1
-    while side**input_dim < num_classes:
-        side += 1
-    lattice = islice(product(range(side), repeat=input_dim), num_classes)
-    means = np.array(list(lattice), dtype=np.float64)
+    side = 2  # found without counting up to it, nor forming 2**input_dim
+    if num_classes > 2 ** min(input_dim, 64):
+        side = max(2, round(num_classes ** (1 / input_dim)))
+        while side**input_dim < num_classes:
+            side += 1
+        while (side - 1) ** input_dim >= num_classes:
+            side -= 1
+    means = np.zeros((num_classes, input_dim))
+    k = np.arange(num_classes)
+    for col in reversed(range(max(0, input_dim - 64), input_dim)):  # k < 2**63: 64 digits
+        k, means[:, col] = np.divmod(k, side)
     labels = np.arange(num_classes * samples_per_class, dtype=np.int64) // samples_per_class
     features = rng.standard_normal((labels.size, input_dim))
     try:
@@ -320,5 +312,5 @@ def partition_dataset(
     the seed's partition stream."""
     gen = streams.substream(seed, streams.PARTITION)
     if partition.scheme == "dirichlet":
-        return dirichlet_partition(train.labels, num_clients, partition, gen)
-    return power_law_two_class_partition(train.labels, num_clients, partition, gen)
+        return dirichlet_partition(train, num_clients, partition, gen)
+    return power_law_two_class_partition(train, num_clients, partition, gen)

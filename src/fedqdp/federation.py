@@ -46,11 +46,21 @@ from fedqdp.schedule import ScheduleConfig, client_importance, schedule_bits
 EVAL_ROWS = 128
 
 
-def _check_model_fits(model: ModelSpec, data: BlobsConfig | LabeledDataset) -> None:
-    """Refuse a model whose input_dim or num_classes differs from the data's."""
+def _check_data_fits(cfg: ExperimentConfig, data: BlobsConfig | LabeledDataset) -> None:
+    """Refuse training data, a BlobsConfig or an IDX split, that does not fit
+    the run: a model of other dimensions, fewer samples than clients, or
+    power-law classes too small for the clients power_law_pairs gives them."""
     for name in ("input_dim", "num_classes"):
-        if getattr(model, name) != getattr(data, name):
-            raise ValueError(f"model {name} {getattr(model, name)} != data {name} {getattr(data, name)}")
+        want, have = getattr(cfg.model, name), getattr(data, name)
+        if want != have:
+            raise ValueError(f"model {name} {want} != data {name} {have}")
+    blobs = isinstance(data, BlobsConfig)
+    samples = data.num_classes * data.train_per_class if blobs else len(data)
+    if samples < cfg.num_clients:
+        raise ValueError(f"{samples} training samples cannot cover {cfg.num_clients} clients")
+    if cfg.partition.scheme == "power_law":
+        sizes = np.full(data.num_classes, data.train_per_class) if blobs else np.bincount(data.labels)
+        power_law_pairs(sizes, cfg.num_clients)
 
 
 @dataclass(frozen=True)
@@ -89,15 +99,9 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        # IDX dimensions are known only once the files are loaded (run_experiment)
+        # IDX data is known only once its files are read (run_experiment)
         if isinstance(self.data, BlobsConfig):
-            _check_model_fits(self.model, self.data)
-            samples = self.data.num_classes * self.data.train_per_class
-            if samples < self.num_clients:
-                raise ValueError(f"{samples} training samples cannot cover {self.num_clients} clients")
-            if self.partition.scheme == "power_law":
-                sizes = np.full(self.data.num_classes, self.data.train_per_class)
-                power_law_pairs(sizes, self.num_clients)
+            _check_data_fits(self, self.data)
 
 
 @dataclass(frozen=True)
@@ -279,8 +283,8 @@ def run_experiment(cfg: ExperimentConfig, round_hook=None) -> list[RoundRecord]:
     the final round.
     """
     train, test = make_datasets(cfg.data, cfg.seed)
-    if isinstance(cfg.data, IdxConfig):  # blob dimensions were checked with the config
-        _check_model_fits(cfg.model, train)
+    if isinstance(cfg.data, IdxConfig):  # blob data was checked with the config
+        _check_data_fits(cfg, train)
     shards = partition_dataset(train, cfg.partition, cfg.num_clients, cfg.seed)
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
 

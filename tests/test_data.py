@@ -122,6 +122,17 @@ def test_blobs_match_reference_formula(num_classes, input_dim, samples_per_class
     assert np.array_equal(np.signbit(ds.features), np.signbit(expected))
 
 
+@pytest.mark.parametrize("input_dim", [1, 2, 3, 5, 13, 64, 100])
+def test_blobs_zero_spread_match_the_reference_lattice(input_dim):
+    # the reference counts the side up and enumerates product(); the sign
+    # bits of the zeros are compared too
+    for num_classes in (*range(2, 40), 63, 64, 65, 80, 81, 82, 255, 256, 257, 1000):
+        blobs = BlobsConfig(num_classes=num_classes, input_dim=input_dim, spread=0.0)
+        ds = synthetic_blobs(blobs, 2, np.random.default_rng(0))
+        expected = _blobs_reference(num_classes, input_dim, 2, 0.0, np.random.default_rng(0))
+        assert ds.features.tobytes() == expected.tobytes(), (num_classes, input_dim)
+
+
 def test_blobs_allocate_only_their_features():
     rng = np.random.default_rng(0)
     tracemalloc.start()
@@ -142,6 +153,11 @@ def _exact_cover(parts, n):
     assert np.array_equal(np.sort(merged), np.arange(n))
 
 
+def _dataset(labels):
+    """A featureless dataset of the given labels, for the partitioners."""
+    return LabeledDataset(np.zeros((labels.size, 1)), labels, max(2, int(labels.max()) + 1))
+
+
 def _alpha(alpha):
     return PartitionConfig("dirichlet", alpha=alpha)
 
@@ -152,7 +168,7 @@ def _exponent(exponent):
 
 def test_dirichlet_partition_covers_everything_once():
     labels = np.repeat([0, 1, 2], 40)
-    parts = dirichlet_partition(labels, 8, _alpha(0.5), np.random.default_rng(0))
+    parts = dirichlet_partition(_dataset(labels), 8, _alpha(0.5), np.random.default_rng(0))
     assert len(parts) == 8
     _exact_cover(parts, 120)
     for p in parts:
@@ -163,14 +179,14 @@ def test_dirichlet_partition_covers_everything_once():
 def test_dirichlet_partition_no_empty_clients_under_tiny_alpha():
     labels = np.repeat([0, 1], 30)
     for seed in range(10):
-        parts = dirichlet_partition(labels, 25, _alpha(0.05), np.random.default_rng(seed))
+        parts = dirichlet_partition(_dataset(labels), 25, _alpha(0.05), np.random.default_rng(seed))
         _exact_cover(parts, 60)
         assert all(p.size >= 1 for p in parts)
     # as many samples as clients: stealing from the largest always finds a
     # donor with two or more, and every client ends with exactly one
     labels = np.repeat([0, 1, 2], 7)
     for seed in range(20):
-        parts = dirichlet_partition(labels, 21, _alpha(0.01), np.random.default_rng(seed))
+        parts = dirichlet_partition(_dataset(labels), 21, _alpha(0.01), np.random.default_rng(seed))
         assert [p.size for p in parts] == [1] * 21
         _exact_cover(parts, 21)
 
@@ -178,9 +194,9 @@ def test_dirichlet_partition_no_empty_clients_under_tiny_alpha():
 def test_dirichlet_partition_alpha_controls_skew():
     labels = np.repeat([0, 1, 2], 200)
     rng = np.random.default_rng(3)
-    skewed = dirichlet_partition(labels, 10, _alpha(0.1), rng)
+    skewed = dirichlet_partition(_dataset(labels), 10, _alpha(0.1), rng)
     rng = np.random.default_rng(3)
-    flat = dirichlet_partition(labels, 10, _alpha(100.0), rng)
+    flat = dirichlet_partition(_dataset(labels), 10, _alpha(100.0), rng)
     assert max(p.size for p in skewed) > max(p.size for p in flat)
     # high alpha concentrates sizes near the uniform share of 60
     assert max(abs(p.size - 60) for p in flat) < 30
@@ -188,40 +204,35 @@ def test_dirichlet_partition_alpha_controls_skew():
 
 def test_dirichlet_partition_deterministic():
     labels = np.repeat([0, 1], 50)
-    a = dirichlet_partition(labels, 5, _alpha(0.5), np.random.default_rng(1))
-    b = dirichlet_partition(labels, 5, _alpha(0.5), np.random.default_rng(1))
+    a = dirichlet_partition(_dataset(labels), 5, _alpha(0.5), np.random.default_rng(1))
+    b = dirichlet_partition(_dataset(labels), 5, _alpha(0.5), np.random.default_rng(1))
     for pa, pb in zip(a, b):
         assert np.array_equal(pa, pb)
 
 
 def test_dirichlet_partition_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        dirichlet_partition(np.array([0, 1]), 3, _alpha(0.5), rng)
-    # the PartitionConfig a partitioner takes has refused a bad alpha
-    with pytest.raises(ValueError):
-        dirichlet_partition(np.array([0, 1]), 2, _alpha(0.0), rng)
-    with pytest.raises(ValueError):
-        dirichlet_partition(np.array([]), 1, _alpha(0.5), rng)
-    with pytest.raises(ValueError, match="^num_clients must be >= 1, got 0$"):
-        dirichlet_partition(np.array([0, 1]), 0, _alpha(0.5), rng)
+    # the PartitionConfig a partitioner takes has refused a bad alpha; the
+    # run refuses more clients than samples (test_federation)
+    with pytest.raises(ValueError, match="^alpha must be positive and finite, got 0.0$"):
+        dirichlet_partition(_dataset(np.array([0, 1])), 2, _alpha(0.0), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("partition, arg", [(dirichlet_partition, 0.5),
                                             (power_law_two_class_partition, 1.2)])
 def test_partitioners_refuse_non_integer_and_negative_labels(partition, arg):
-    rng = np.random.default_rng(0)
-    arg = _alpha(arg) if partition is dirichlet_partition else _exponent(arg)
+    # the LabeledDataset a partitioner takes refuses such labels
     for labels in (np.array([0.0, 1.0, 1.0]), np.array([False, True, True])):
-        with pytest.raises(ValueError, match="labels must be integers"):
-            partition(labels, 2, arg, rng)
-    with pytest.raises(ValueError, match="labels must be non-negative"):
-        partition(np.array([0, 1, -1]), 2, arg, rng)
+        message = f"^labels must be integers, got dtype {labels.dtype}$"
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(np.zeros((3, 1)), labels, 2)
+    with pytest.raises(ValueError, match=r"^labels must lie in \[0, 2\)$"):
+        LabeledDataset(np.zeros((3, 1)), np.array([0, 1, -1]), 2)
     # any integer dtype is accepted and gives the int64 result
+    arg = _alpha(arg) if partition is dirichlet_partition else _exponent(arg)
     labels = np.repeat(np.arange(3), 20)
     for dtype in (np.uint8, np.int32, np.uint64):
-        narrow = partition(labels.astype(dtype), 4, arg, np.random.default_rng(5))
-        wide = partition(labels, 4, arg, np.random.default_rng(5))
+        narrow = partition(_dataset(labels.astype(dtype)), 4, arg, np.random.default_rng(5))
+        wide = partition(_dataset(labels), 4, arg, np.random.default_rng(5))
         for a, b in zip(narrow, wide):
             assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
 
@@ -267,10 +278,12 @@ def test_dirichlet_partition_matches_list_reference(counts, num_clients, alpha, 
         expected = _dirichlet_reference(labels, num_clients, alpha, np.random.default_rng(seed))
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            dirichlet_partition(labels, num_clients, _alpha(alpha), np.random.default_rng(seed))
+            dirichlet_partition(_dataset(labels), num_clients, _alpha(alpha),
+                                np.random.default_rng(seed))
         assert str(raised.value) == str(exc)
         return
-    parts = dirichlet_partition(labels, num_clients, _alpha(alpha), np.random.default_rng(seed))
+    parts = dirichlet_partition(_dataset(labels), num_clients, _alpha(alpha),
+                                np.random.default_rng(seed))
     assert len(parts) == len(expected)
     for part, ref in zip(parts, expected):
         assert part.dtype == ref.dtype == np.int64 and np.array_equal(part, ref)
@@ -281,7 +294,8 @@ def test_dirichlet_partition_matches_list_reference(counts, num_clients, alpha, 
 
 def test_power_law_pairs_cycle_lexicographically():
     labels = np.repeat([0, 1, 2], 100)
-    parts = power_law_two_class_partition(labels, 4, _exponent(1.2), np.random.default_rng(0))
+    parts = power_law_two_class_partition(_dataset(labels), 4, _exponent(1.2),
+                                          np.random.default_rng(0))
     pair_order = [(0, 1), (0, 2), (1, 2), (0, 1)]
     for part, expected in zip(parts, pair_order):
         present = tuple(sorted(set(labels[part].tolist())))
@@ -291,7 +305,7 @@ def test_power_law_pairs_cycle_lexicographically():
 def test_power_law_sizes_follow_rank_profile():
     labels = np.repeat([0, 1], 500)
     n_clients, exponent = 6, 1.2
-    parts = power_law_two_class_partition(labels, n_clients, _exponent(exponent),
+    parts = power_law_two_class_partition(_dataset(labels), n_clients, _exponent(exponent),
                                           np.random.default_rng(1))
     weights = np.arange(1, n_clients + 1, dtype=float) ** (-exponent)
     expected = np.maximum(2, np.rint(weights / weights.sum() * 1000))
@@ -302,7 +316,8 @@ def test_power_law_sizes_follow_rank_profile():
 
 def test_power_law_exponent_zero_is_near_uniform():
     labels = np.repeat([0, 1], 120)
-    parts = power_law_two_class_partition(labels, 8, _exponent(0.0), np.random.default_rng(2))
+    parts = power_law_two_class_partition(_dataset(labels), 8, _exponent(0.0),
+                                          np.random.default_rng(2))
     sizes = [p.size for p in parts]
     assert max(sizes) - min(sizes) <= 1
 
@@ -311,7 +326,8 @@ def test_power_law_refuses_a_negative_exponent():
     # the PartitionConfig the partitioner takes is where the exponent is refused
     labels = np.repeat([0, 1], 10)
     with pytest.raises(ValueError, match="^exponent must be non-negative and finite, got -0.5$"):
-        power_law_two_class_partition(labels, 4, _exponent(-0.5), np.random.default_rng(0))
+        power_law_two_class_partition(_dataset(labels), 4, _exponent(-0.5),
+                                      np.random.default_rng(0))
 
 
 def test_power_law_leaves_the_tail_classes_partly_unassigned():
@@ -319,7 +335,7 @@ def test_power_law_leaves_the_tail_classes_partly_unassigned():
     # classes 0-4, and nobody takes the 552 samples left in classes 5-9
     labels = np.repeat(np.arange(10), 400)
     for seed in (0, 3, 17):
-        parts = power_law_two_class_partition(labels, 200, _exponent(1.2),
+        parts = power_law_two_class_partition(_dataset(labels), 200, _exponent(1.2),
                                               np.random.default_rng(seed))
         assigned = np.concatenate(parts)
         assert assigned.size == np.unique(assigned).size == 3448
@@ -330,7 +346,8 @@ def test_power_law_leaves_the_tail_classes_partly_unassigned():
 
 def test_power_law_disjoint_and_minimum_per_class():
     labels = np.repeat([0, 1, 2, 3], 50)
-    parts = power_law_two_class_partition(labels, 10, _exponent(1.5), np.random.default_rng(3))
+    parts = power_law_two_class_partition(_dataset(labels), 10, _exponent(1.5),
+                                          np.random.default_rng(3))
     merged = np.concatenate(parts)
     assert merged.size == np.unique(merged).size  # no index reused
     for part in parts:
@@ -392,11 +409,11 @@ def test_power_law_matches_list_reference(counts, num_clients, exponent, seed):
         expected = _power_law_reference(labels, num_clients, exponent, np.random.default_rng(seed))
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            power_law_two_class_partition(labels, num_clients, _exponent(exponent),
+            power_law_two_class_partition(_dataset(labels), num_clients, _exponent(exponent),
                                           np.random.default_rng(seed))
         assert str(raised.value) == str(exc)
         return
-    parts = power_law_two_class_partition(labels, num_clients, _exponent(exponent),
+    parts = power_law_two_class_partition(_dataset(labels), num_clients, _exponent(exponent),
                                           np.random.default_rng(seed))
     assert len(parts) == len(expected)
     for part, ref in zip(parts, expected):
@@ -406,12 +423,12 @@ def test_power_law_matches_list_reference(counts, num_clients, exponent, seed):
 def test_power_law_insufficient_singleton_class():
     labels = np.array([0, 0, 0, 0, 1])
     with pytest.raises(ValueError):
-        power_law_two_class_partition(labels, 3, _exponent(1.2), np.random.default_rng(0))
+        power_law_two_class_partition(_dataset(labels), 3, _exponent(1.2), np.random.default_rng(0))
 
 
 def test_power_law_needs_two_classes():
     with pytest.raises(ValueError):
-        power_law_two_class_partition(np.zeros(10, dtype=int), 2, _exponent(1.2),
+        power_law_two_class_partition(_dataset(np.zeros(10, dtype=int)), 2, _exponent(1.2),
                                       np.random.default_rng(0))
 
 

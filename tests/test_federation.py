@@ -126,6 +126,21 @@ def test_select_clients_roughly_uniform():
     assert np.max(np.abs(counts - expected)) < 4 * np.sqrt(rounds * 0.2 * 0.8)
 
 
+def test_realised_participation_exceeds_the_expectation_the_budget_assumes():
+    # noise_scale spends epsilon*N*E/(P*T) per release, so a client reaches
+    # epsilon*E after the P*T/N = 50 rounds it joins in expectation; over
+    # blobs_dp_dynamic's 200 rounds at seed 0 the selection alone gives
+    # the busiest client 59 (README "Privacy accounting", ROADMAP item 17)
+    cfg = parse_config_dict(json.loads((CONFIGS / "blobs_dp_dynamic.json").read_text()))
+    counts = np.zeros(cfg.num_clients, dtype=np.int64)
+    for t in range(cfg.rounds):
+        counts[select_clients(cfg.num_clients, cfg.clients_per_round, t, cfg.seed)] += 1
+    expected = cfg.clients_per_round * cfg.rounds / cfg.num_clients
+    assert expected == 50 and counts.sum() == 1000
+    assert counts.max() == 59 and counts.max() / expected == 1.18
+    assert np.count_nonzero(counts > expected) == 10
+
+
 # --- broadcast width ---------------------------------------------------------
 
 
@@ -479,6 +494,28 @@ def test_model_dataset_mismatch_rejected(tmp_path):
                       model=ModelSpec("logistic", input_dim=4, num_classes=4))
     with pytest.raises(ValueError, match="^model num_classes 4 != data num_classes 3$"):
         run_experiment(cfg)
+
+
+def test_idx_data_that_cannot_cover_the_clients_is_refused_before_round_0(tmp_path):
+    # four 2x2 images with labels 0, 1, 2, 0: the count and the class sizes
+    # are known only once the files are read
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(range(16)))
+    labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 2, 0]))
+    data = IdxConfig(str(images), str(labels), str(images), str(labels))
+    model = ModelSpec("logistic", input_dim=4, num_classes=3)
+    cases = [
+        (PART, 5, "^4 training samples cannot cover 5 clients$"),
+        # pairs (0, 1), (0, 2), (1, 2), (0, 1) ask class 0 for three samples
+        (PartitionConfig(scheme="power_law"), 4, "^class 0 has 2 samples but 3 clients need one$"),
+    ]
+    for partition, clients, message in cases:
+        cfg = make_config(rounds=2, data=data, model=model, partition=partition,
+                          num_clients=clients, clients_per_round=1)
+        started = []
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg, round_hook=lambda params, rec: started.append(rec.t))
+        assert started == []
 
 
 def test_idx_train_and_test_share_one_class_count(tmp_path):

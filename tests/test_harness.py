@@ -755,7 +755,7 @@ def test_cli_sweep_invalid_cell_runs_nothing(tmp_path, capsys):
     assert not out.exists()
     # a grid that is not a JSON object is refused before anything is made
     for grid, message in (("{not json", "grid is neither a file nor valid JSON"),
-                          ("[1, 2]", "grid must be a JSON object")):
+                          ("[1, 2]", "grid must be a non-empty object of dotted keys")):
         assert main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -927,6 +927,41 @@ def test_cli_config_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "Unable to allocate" in err and "Traceback" not in err
+
+
+def test_cli_blobs_with_a_huge_class_count_exit_2_without_hanging(tmp_path):
+    # 10**12 one-dimensional classes: the lattice side is found at once and
+    # the (10**12, 1) means array is refused, where counting the side up
+    # to 10**12 would run for hours. The child gets a 4 GiB address-space
+    # cap, so the refusal does not hang on the machine's overcommit policy.
+    raw = load_config_dict(Path(__file__).resolve().parents[1] / "configs" / "blobs_cosine.json")
+    raw["rounds"] = 1
+    raw["data"].update(num_classes=10**12, input_dim=1, train_per_class=1, test_per_class=1)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    script = ("import resource, runpy\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+              "runpy.run_module('fedqdp.cli', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS="1"),
+        cwd=str(tmp_path), timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Unable to allocate" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_config_and_grid_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # as Windows PowerShell 5's Out-File -Encoding utf8 writes them
+    config, grid = tmp_path / "cfg.json", tmp_path / "grid.json"
+    config.write_text("\ufeff" + json.dumps(SMALL_RAW), encoding="utf-8")
+    grid.write_text("\ufeff" + json.dumps({"seed": [0, 1]}), encoding="utf-8")
+    assert config.read_bytes()[:3] == grid.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert load_config_dict(config) == SMALL_RAW
+    assert load_config_dict(grid) == {"seed": [0, 1]}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)]) == 0
+    assert (out / "summary.csv").exists() and (out / "cell_001" / "metrics.csv").exists()
 
 
 def test_cli_out_env_default(tmp_path):
