@@ -32,7 +32,6 @@ from fedqdp.data import (
 from fedqdp.models import (
     ModelSpec,
     ParamSet,
-    ShapeMismatchError,
     clip_gradient_l1,
     init_params,
     loss_and_grad,
@@ -217,11 +216,9 @@ def client_update(
 def aggregate(uploads: list[QuantizedParamSet], sizes: list[int]) -> ParamSet:
     """Average of the dequantized uploads, weighted by the senders' dataset sizes."""
     total = float(sum(sizes))
-    layout = uploads[0].layout
+    layout = uploads[0].layout  # every upload of a run has init_params' layout
     acc = np.zeros(layout.size)
-    for i, (q, n) in enumerate(zip(uploads, sizes, strict=True)):
-        if q.layout != layout:
-            raise ShapeMismatchError(f"upload {i} and upload 0 differ in tensor names or shapes")
+    for q, n in zip(uploads, sizes, strict=True):
         acc += dequantize_params(q).vector * (n / total)
     return ParamSet.from_vector(layout, acc)
 

@@ -91,7 +91,8 @@ def _parse_cell(key: str, cell: str, where: str):
 
 
 def read_records(path: str | Path) -> list[dict]:
-    """Parse an exported metrics csv back into row dicts.
+    """Parse an exported metrics csv back into row dicts; a leading UTF-8
+    byte order mark is skipped.
 
     Numbers come back as int/float and missing accuracies as None, so a
     write/read/write cycle is byte-identical. A row without exactly one
@@ -100,7 +101,7 @@ def read_records(path: str | Path) -> list[dict]:
     """
     path = _csv_path(path)
     rows = []
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         if tuple(reader.fieldnames or ()) != COLUMNS:
             raise ValueError(f"{path}:1: unexpected columns {reader.fieldnames}")

@@ -26,7 +26,7 @@ class Layout:
     their conformability check an identity test.
     """
 
-    __slots__ = ("entries", "names", "size", "_index")
+    __slots__ = ("entries", "size", "_index")
 
     def __init__(self, shapes):
         entries = []
@@ -37,7 +37,6 @@ class Layout:
             entries.append((str(name), shape, offset, size))
             offset += size
         self.entries: tuple[tuple[str, tuple[int, ...], int, int], ...] = tuple(entries)
-        self.names = tuple(e[0] for e in entries)
         self.size = offset
         self._index = {e[0]: e for e in entries}
 

@@ -44,40 +44,28 @@ def code_dtype(bits: int) -> np.dtype:
 class QuantizedParamSet:
     """Quantization of a whole ParamSet: one flat code vector in the
     parameters' layout, of type code_dtype(bits), one scale per tensor, one
-    bit width."""
+    bit width. A plain record that checks nothing: only quantize_params builds one."""
 
     layout: Layout
     codes: np.ndarray  # code_dtype(bits), flat, in layout order
     scales: np.ndarray  # float64, one per tensor
     bits: int
 
-    def __post_init__(self):
-        dtype = code_dtype(self.bits)
-        if self.codes.dtype != dtype or self.codes.shape != (self.layout.size,):
-            raise ValueError(f"codes must be a flat {dtype} array of {self.layout.size} elements")
-        bound = 2 ** (self.bits - 1) - 1
-        if self.codes.size and (self.codes.min() < -bound or self.codes.max() > bound):
-            raise ValueError(f"codes exceed the signed {self.bits}-bit range [-{bound}, {bound}]")
-        if self.scales.shape != (len(self.layout),):
-            raise ValueError(f"need one scale per tensor, got {self.scales.shape}")
-        if not (np.isfinite(self.scales).all() and (self.scales > 0).all()):
-            raise ValueError(f"scales must be positive and finite, got {self.scales}")
-
 
 def comm_cost(layout: Layout, bits: int) -> int:
     """Bits to transmit one parameter message of the given layout quantized
-    at the given width, one that QuantizedParamSet accepts."""
+    at the given width, a width code_dtype accepts."""
     return layout.size * bits + len(layout) * (SCALE_BITS + TAG_BITS)
 
 
 def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> QuantizedParamSet:
     """Quantize every tensor at the same bit width with per-tensor scales.
 
-    Each tensor's segment is scaled into one vector, which rounds up where
-    its uniform draw u < the fractional part and down otherwise, then
-    clips into [-(2^(b-1) - 1), 2^(b-1) - 1]. One draw covers the whole
-    vector in layout order, the same stream as one draw per tensor in turn.
-    """
+    The only maker of a QuantizedParamSet. Each tensor's segment is scaled
+    into one vector that rounds up where its uniform draw u < the fractional
+    part, else down, and clips into [-(2^(b-1) - 1), 2^(b-1) - 1] as
+    code_dtype(bits); each scale is positive and finite. One draw covers the
+    whole vector in layout order, the same stream as one draw per tensor."""
     dtype = code_dtype(bits)  # refuses a bad width before any work
     bound = float(2 ** (bits - 1) - 1)
     layout = params.layout

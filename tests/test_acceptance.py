@@ -243,7 +243,7 @@ def test_acceptance_7_single_client_matches_centralized_sgd():
     train, _ = make_datasets(cfg.data, cfg.seed)
     params = init_params(cfg.model, streams.substream(cfg.seed, streams.INIT))
     n = len(train)
-    alpha_seen = max(np.abs(params[k]).max() for k in params.layout.names)
+    alpha_seen = np.abs(params.vector).max()
     ok = True
     worst = 0.0
     for t in range(rounds):
@@ -253,8 +253,8 @@ def test_acceptance_7_single_client_matches_centralized_sgd():
                 batch = order[s : s + cfg.batch_size]
                 _, grad = loss_and_grad(cfg.model, params, train.features[batch], train.labels[batch])
                 params = sgd_step(params, grad, cfg.eta)
-        alpha_seen = max(alpha_seen, *(np.abs(params[k]).max() for k in params.layout.names))
-        diff = max(np.abs(captured[t][k] - params[k]).max() for k in params.layout.names)
+        alpha_seen = max(alpha_seen, np.abs(params.vector).max())
+        diff = np.abs(captured[t].vector - params.vector).max()
         bound = (t + 1) * alpha_seen / (2**31 - 1) * 10
         worst = max(worst, diff / bound)
         ok = ok and diff <= bound

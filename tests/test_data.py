@@ -254,8 +254,6 @@ def _dirichlet_reference(labels, num_clients, alpha, rng):
     for client in range(num_clients):
         while parts[client].size == 0:
             donor = max(range(num_clients), key=lambda c: (parts[c].size, -c))
-            if parts[donor].size < 2:
-                raise ValueError("not enough samples to leave every client non-empty")
             parts[client] = parts[donor][-1:]
             parts[donor] = parts[donor][:-1]
     return [p.astype(np.int64) for p in parts]
@@ -269,19 +267,12 @@ def _dirichlet_reference(labels, num_clients, alpha, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(counts=[3, 2], num_clients=5, alpha=0.01, seed=0)  # every client but one steals
-@example(counts=[0, 0, 40], num_clients=60, alpha=10.0, seed=1)  # absent classes
+@example(counts=[0, 0, 40], num_clients=30, alpha=10.0, seed=1)  # absent classes
 def test_dirichlet_partition_matches_list_reference(counts, num_clients, alpha, seed):
     labels = np.repeat(np.arange(len(counts)), counts)
     np.random.default_rng(seed).shuffle(labels)
     assume(labels.size >= num_clients)
-    try:
-        expected = _dirichlet_reference(labels, num_clients, alpha, np.random.default_rng(seed))
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            dirichlet_partition(_dataset(labels), num_clients, _alpha(alpha),
-                                np.random.default_rng(seed))
-        assert str(raised.value) == str(exc)
-        return
+    expected = _dirichlet_reference(labels, num_clients, alpha, np.random.default_rng(seed))
     parts = dirichlet_partition(_dataset(labels), num_clients, _alpha(alpha),
                                 np.random.default_rng(seed))
     assert len(parts) == len(expected)

@@ -647,6 +647,16 @@ def test_cli_compare_refuses_a_jsonl_file(tmp_path, capsys):
     ]
 
 
+def test_cli_compare_reads_a_metrics_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # as a spreadsheet writes it when re-saving the file as "CSV UTF-8"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_records(_records(), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_records(marked) == read_records(plain)
+    assert main(["compare", str(plain), str(marked), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["reduction_percent"] == 0.0
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_has_no_format_option(tmp_path, capsys, command):
     cfg = _write_config(tmp_path)

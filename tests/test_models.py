@@ -25,6 +25,11 @@ LOGISTIC = ModelSpec("logistic", input_dim=2, num_classes=3)
 MLP = ModelSpec("mlp", input_dim=3, num_classes=3, hidden_dim=4)
 
 
+def names(layout):
+    """The tensor names of a Layout, in order."""
+    return tuple(name for name, *_ in layout.entries)
+
+
 def reference_l1_distance(a, b):
     """l1_norm of a - b with the difference built as a ParamSet, which
     refuses an overflowing element by name: the oracle for l1_distance."""
@@ -73,7 +78,7 @@ def test_paramset_arithmetic_and_conformability():
 
 def test_init_logistic_tensors():
     params = init_params(LOGISTIC, np.random.default_rng(0))
-    assert params.layout.names == ("w", "b")
+    assert names(params.layout) == ("w", "b")
     assert params["w"].shape == (3, 2)
     assert params["b"].shape == (3,)
     assert np.all(params["b"] == 0.0)
@@ -83,7 +88,7 @@ def test_init_logistic_tensors():
 
 def test_init_mlp_tensors():
     params = init_params(MLP, np.random.default_rng(0))
-    assert params.layout.names == ("w1", "b1", "w2", "b2")
+    assert names(params.layout) == ("w1", "b1", "w2", "b2")
     assert params["w1"].shape == (4, 3)
     assert params["b1"].shape == (4,)
     assert params["w2"].shape == (3, 4)
@@ -108,7 +113,7 @@ def test_init_params_equals_a_per_layer_oracle(spec):
 
     used = np.random.default_rng(5)
     params = init_params(spec, used)
-    assert params.layout.names == tuple(expected)
+    assert names(params.layout) == tuple(expected)
     for name, value in expected.items():
         assert np.array_equal(params[name], value), name
     assert used.random() == gen.random()
@@ -117,7 +122,7 @@ def test_init_params_equals_a_per_layer_oracle(spec):
 def test_init_deterministic_and_roughly_centered():
     a = init_params(MLP, np.random.default_rng(7))
     b = init_params(MLP, np.random.default_rng(7))
-    for name in a.layout.names:
+    for name, *_ in a.layout.entries:
         assert np.array_equal(a[name], b[name])
     big = ModelSpec("logistic", input_dim=400, num_classes=10)
     w = init_params(big, np.random.default_rng(1))["w"]
@@ -151,19 +156,19 @@ def test_predict_takes_the_largest_logit():
 
 
 def _flatten(params):
-    return np.concatenate([params[name].ravel() for name in params.layout.names])
+    return np.concatenate([params[name].ravel() for name, *_ in params.layout.entries])
 
 
 def _finite_difference_grad(spec, params, x, y, step=1e-5):
     """Central differences on the loss, one coordinate at a time."""
     grads = {}
-    for name in params.layout.names:
+    for name, *_ in params.layout.entries:
         value = params[name]
         g = np.zeros_like(value)
         it = np.nditer(value, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            bumped = {k: params[k].copy() for k in params.layout.names}
+            bumped = {k: params[k].copy() for k, *_ in params.layout.entries}
             bumped[name][idx] += step
             up, _ = loss_and_grad(spec, ParamSet(bumped), x, y)
             bumped[name][idx] -= 2 * step
@@ -192,7 +197,7 @@ def test_duplicating_samples_preserves_loss_and_grad():
     loss1, grad1 = loss_and_grad(MLP, params, x, y)
     loss2, grad2 = loss_and_grad(MLP, params, np.vstack([x, x]), np.concatenate([y, y]))
     assert abs(loss1 - loss2) < 1e-14
-    for name in grad1.layout.names:
+    for name, *_ in grad1.layout.entries:
         assert np.allclose(grad1[name], grad2[name], rtol=1e-13, atol=1e-16)
 
 
@@ -238,7 +243,7 @@ def test_forward_pass_equals_out_of_place_reference(kind, n):
     loss, grad = loss_and_grad(spec, params, x, y)
     ref_loss, ref_parts = _reference_loss_and_grad(spec, params, x, y)
     assert loss == ref_loss
-    for name, ref in zip(grad.layout.names, ref_parts):
+    for name, ref in zip(names(grad.layout), ref_parts):
         assert np.array_equal(grad[name], ref), name
 
     assert np.array_equal(params.vector, vector_before)

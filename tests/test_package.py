@@ -7,6 +7,7 @@ A helper that only tests call belongs in the tests, next to its callers.
 import ast
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,20 +27,45 @@ def _identifiers(node: ast.AST) -> set[str]:
     return names
 
 
+def _attribute_loads(node: ast.AST) -> Counter:
+    """How often node reads each attribute name."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _members(cls: ast.ClassDef):
+    """(name, definition) of each non-dunder method of cls, and of each name
+    in its __slots__, whose definition is the __slots__ assignment."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+            yield stmt.name, stmt
+        elif (isinstance(stmt, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)):
+            for elt in stmt.value.elts:
+                yield elt.value, stmt
+
+
 def unused_definitions(package: Path) -> list[str]:
     """'module.name' of each module-level function or class in package that
-    no other statement of the package names; names in fedqdp.__all__ count
-    as named. An import alone does not count."""
+    no other statement of the package names, and 'module.Class.member' of
+    each non-dunder method or __slots__ name that no attribute read outside
+    its own definition reads. Top-level names in fedqdp.__all__ count as
+    named; an import alone does not, nor does an assignment to a slot."""
     statements = [(path.stem, stmt)
                   for path in sorted(package.glob("*.py"))
                   for stmt in ast.parse(path.read_text()).body]
     named = [_identifiers(stmt) for _, stmt in statements]
+    loads = sum((_attribute_loads(stmt) for _, stmt in statements), Counter())
     unused = []
     for i, (module, stmt) in enumerate(statements):
-        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name in fedqdp.__all__:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not any(stmt.name in names for j, names in enumerate(named) if j != i):
+        if stmt.name not in fedqdp.__all__ and not any(
+                stmt.name in names for j, names in enumerate(named) if j != i):
             unused.append(f"{module}.{stmt.name}")
+        if isinstance(stmt, ast.ClassDef):
+            unused += [f"{module}.{stmt.name}.{name}" for name, definition in _members(stmt)
+                       if loads[name] == _attribute_loads(definition)[name]]
     return unused
 
 

@@ -284,8 +284,7 @@ def test_noise_scale_validation():
 def test_laplace_noise_zero_scale_is_exact_zero():
     like = ParamSet({"w": np.ones((3, 2)), "b": np.ones(3)})
     noise = laplace_noise(0.0, like, np.random.default_rng(0))
-    for name in noise.layout.names:
-        assert np.all(noise[name] == 0.0)
+    assert np.all(noise.vector == 0.0)
 
 
 def test_laplace_noise_shapes_and_determinism():
@@ -294,8 +293,7 @@ def test_laplace_noise_shapes_and_determinism():
     b = laplace_noise(1.5, like, streams.substream(7, 6, 0, 1))
     c = laplace_noise(1.5, like, streams.substream(7, 6, 0, 2))
     assert a["w"].shape == (4, 3) and a["b"].shape == (4,)
-    for name in a.layout.names:
-        assert np.array_equal(a[name], b[name])
+    assert np.array_equal(a.vector, b.vector)
     assert not np.array_equal(a["w"], c["w"])
 
 
@@ -313,7 +311,7 @@ def test_laplace_noise_equals_per_tensor_draws():
                      "b2": np.zeros(2)})
     noise = laplace_noise(0.7, like, np.random.default_rng(5))
     rng = np.random.default_rng(5)
-    for name in like.layout.names:
+    for name, *_ in like.layout.entries:
         want = laplace_noise(0.7, ParamSet({name: like[name]}), rng)[name]
         assert np.array_equal(noise[name], want)
 
