@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from fedqdp import __version__
-from fedqdp.config import ConfigError, grid_cells, load_config_dict, parse_config_dict
+from fedqdp.config import ConfigError, grid_cells, load_config_dict, parse_config_dict, unique_keys
 from fedqdp.federation import ExperimentConfig, run_experiment
 from fedqdp.metrics import (
     RunManifest,
@@ -116,7 +116,7 @@ def _load_grid(arg: str) -> object:
     if is_path:
         return load_config_dict(path)
     try:
-        return json.loads(arg)
+        return json.loads(arg, object_pairs_hook=unique_keys("grid"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"grid is neither a file nor valid JSON: {exc}") from exc
 

@@ -116,12 +116,25 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, "config", **values)
 
 
+def unique_keys(where: str):
+    """A json.loads object_pairs_hook that refuses a key repeated within one
+    object, naming where it was read; json.loads alone keeps the last."""
+    def hook(pairs: list[tuple[str, object]]) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ConfigError(f"{where}: duplicate key {key!r}")
+            out[key] = value
+        return out
+    return hook
+
+
 def load_config_dict(path: str | Path) -> dict:
     """Read a JSON object from a UTF-8 file, a config or a grid, into a dict.
     A leading byte order mark is skipped, as RFC 8259 allows."""
     text = Path(path).read_text(encoding="utf-8-sig")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys(str(path)))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

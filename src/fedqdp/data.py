@@ -3,9 +3,9 @@
 Provides a synthetic Gaussian-blob classifier benchmark, an IDX image/label
 file loader, and two non-IID partitioners: per-class Dirichlet proportions
 and a two-class power-law size profile. Partitioners take a LabeledDataset
-that covers its clients and return sorted index arrays, one per client,
-each client non-empty; they check nothing. A run's data setup lives
-here too: the data and partition configs, make_datasets and
+that fits the run, as only federation._check_data_fits checks, and return
+sorted index arrays, one per client, each non-empty. A run's data setup
+lives here too: the data and partition configs, make_datasets and
 partition_dataset, each drawing from its own stream off the run's seed.
 """
 
@@ -108,22 +108,12 @@ class PartitionConfig:
             raise ValueError(f"exponent must be non-negative and finite, got {self.exponent}")
 
 
-def power_law_pairs(class_sizes: np.ndarray, num_clients: int) -> list[tuple[int, int]]:
+def power_law_pairs(num_present: int, num_clients: int) -> list[tuple[int, int]]:
     """Each client's two classes under the power-law scheme, as positions
-    among the classes present in class_sizes (samples per class id): client
-    i takes the (i mod P)-th of their P lexicographic pairs. Raises unless
-    two classes are present and each has a sample for every client whose
-    pair holds it."""
-    present = np.flatnonzero(class_sizes)
-    if present.size < 2:
-        raise ValueError("power-law partitioning needs at least 2 classes present")
+    among the num_present classes present: client i takes the (i mod P)-th
+    of their P lexicographic pairs."""
     # cycle keeps only the pairs it has handed out: at most num_clients
-    pair_of = list(islice(cycle(combinations(range(present.size), 2)), num_clients))
-    demand = np.bincount(np.ravel(pair_of), minlength=present.size)
-    for cls, size, need in zip(present.tolist(), class_sizes[present].tolist(), demand.tolist()):
-        if need > size:
-            raise ValueError(f"class {cls} has {size} samples but {need} clients need one")
-    return pair_of
+    return list(islice(cycle(combinations(range(num_present), 2)), num_clients))
 
 
 def dirichlet_partition(
@@ -179,10 +169,10 @@ def power_law_two_class_partition(
     counts them.
     """
     labels = data.labels.astype(np.int64, copy=False)  # bincount refuses uint64
-    class_sizes = np.bincount(labels)
-    pair_of = power_law_pairs(class_sizes, num_clients)
+    present = np.flatnonzero(np.bincount(labels))
+    pair_of = power_law_pairs(present.size, num_clients)
     pools = []
-    for cls in np.flatnonzero(class_sizes):
+    for cls in present:
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         pools.append(idx)

@@ -47,8 +47,9 @@ EVAL_ROWS = 128
 
 def _check_data_fits(cfg: ExperimentConfig, data: BlobsConfig | LabeledDataset) -> None:
     """Refuse training data, a BlobsConfig or an IDX split, that does not fit
-    the run: a model of other dimensions, fewer samples than clients, or
-    power-law classes too small for the clients power_law_pairs gives them."""
+    the run: a model of other dimensions, fewer samples than clients, or,
+    under power_law, fewer than two classes present or a class too small
+    for the clients power_law_pairs gives it. Nothing else checks these."""
     for name in ("input_dim", "num_classes"):
         want, have = getattr(cfg.model, name), getattr(data, name)
         if want != have:
@@ -59,7 +60,14 @@ def _check_data_fits(cfg: ExperimentConfig, data: BlobsConfig | LabeledDataset) 
         raise ValueError(f"{samples} training samples cannot cover {cfg.num_clients} clients")
     if cfg.partition.scheme == "power_law":
         sizes = np.full(data.num_classes, data.train_per_class) if blobs else np.bincount(data.labels)
-        power_law_pairs(sizes, cfg.num_clients)
+        present = np.flatnonzero(sizes)
+        if present.size < 2:
+            raise ValueError("power-law partitioning needs at least 2 classes present")
+        demand = np.bincount(np.ravel(power_law_pairs(present.size, cfg.num_clients)),
+                             minlength=present.size)
+        for cls, size, need in zip(present.tolist(), sizes[present].tolist(), demand.tolist()):
+            if need > size:
+                raise ValueError(f"class {cls} has {size} samples but {need} clients need one")
 
 
 @dataclass(frozen=True)

@@ -144,12 +144,14 @@ def noise_scale(
 
     Each release spends epsilon * N * E / (P * T); over the P * T / N
     rounds a client expects to join, basic composition (Dwork & Roth,
-    2014) gives an expected total of epsilon * E. A scale past the float
-    range raises ValueError naming epsilon.
+    2014) gives an expected total of epsilon * E. A scale whose largest
+    Laplace draw, scale * -log(_LAPLACE_FLOOR) = scale * 708.4, passes the
+    float range raises ValueError naming epsilon.
     """
     factor = (participants * rounds) / (num_clients * local_epochs)
     scale = factor * float(sensitivity_value) / dp.epsilon
-    if not math.isfinite(scale):
+    # Python floats: the product is inf past the range, with no numpy warning
+    if not math.isfinite(scale * -math.log(_LAPLACE_FLOOR)):
         raise ValueError(f"noise scale overflows at epsilon={dp.epsilon}, sensitivity {sensitivity_value}")
     return scale
 

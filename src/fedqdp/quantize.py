@@ -44,7 +44,8 @@ def code_dtype(bits: int) -> np.dtype:
 class QuantizedParamSet:
     """Quantization of a whole ParamSet: one flat code vector in the
     parameters' layout, of type code_dtype(bits), one scale per tensor, one
-    bit width. A plain record that checks nothing: only quantize_params builds one."""
+    bit width. A plain record that checks nothing: only quantize_params
+    builds one, with both arrays read-only."""
 
     layout: Layout
     codes: np.ndarray  # code_dtype(bits), flat, in layout order
@@ -83,7 +84,9 @@ def quantize_params(params: ParamSet, bits: int, rng: np.random.Generator) -> Qu
     scaled -= codes  # the fractional parts
     codes += rng.random(flat.size) < scaled
     np.clip(codes, -bound, bound, out=codes)
-    return QuantizedParamSet(layout, codes.astype(dtype), scales, bits)
+    codes = codes.astype(dtype)
+    codes.flags.writeable = scales.flags.writeable = False
+    return QuantizedParamSet(layout, codes, scales, bits)
 
 
 def dequantize_params(q: QuantizedParamSet) -> ParamSet:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fedqdp.data import (
     BlobsConfig,
+    IdxConfig,
     IdxParseError,
     LabeledDataset,
     PartitionConfig,
@@ -20,6 +21,9 @@ from fedqdp.data import (
     power_law_two_class_partition,
     synthetic_blobs,
 )
+from fedqdp.federation import ExperimentConfig, _check_data_fits
+from fedqdp.models import ModelSpec
+from fedqdp.schedule import ScheduleConfig
 
 
 def test_labeled_dataset_validation():
@@ -347,8 +351,37 @@ def test_power_law_disjoint_and_minimum_per_class():
         assert counts[counts > 0].min() >= 1
 
 
+def _power_law_run(data, num_clients):
+    """A power-law run of num_clients clients whose training data is shaped
+    like data: IDX, so the config checks nothing of it and no file is read."""
+    return ExperimentConfig(
+        model=ModelSpec("logistic", data.input_dim, data.num_classes),
+        schedule=ScheduleConfig("static"), data=IdxConfig("", "", "", ""),
+        partition=_exponent(1.2), num_clients=num_clients, clients_per_round=1,
+    )
+
+
+def _power_law_reference_refusal(labels, num_clients):
+    """Why the power-law partition cannot serve these labels, or None:
+    counted client by client over the list reference's pairs."""
+    present = np.unique(labels)
+    if present.size < 2:
+        return "power-law partitioning needs at least 2 classes present"
+    pairs = list(combinations(present.tolist(), 2))
+    minimum_demand = {int(cls): 0 for cls in present}
+    for i in range(num_clients):
+        for cls in pairs[i % len(pairs)]:
+            minimum_demand[cls] += 1
+    for cls, demand in minimum_demand.items():
+        size = int(np.count_nonzero(labels == cls))
+        if demand > size:
+            return f"class {cls} has {size} samples but {demand} clients need one"
+    return None
+
+
 def _power_law_reference(labels, num_clients, exponent, rng):
-    """Power-law partition moving one sample at a time between Python lists."""
+    """Power-law partition moving one sample at a time between Python lists,
+    for labels that _power_law_reference_refusal passes."""
     present = np.unique(labels)
     pairs = list(combinations(present.tolist(), 2))
     pair_of = [pairs[i % len(pairs)] for i in range(num_clients)]
@@ -357,15 +390,6 @@ def _power_law_reference(labels, num_clients, exponent, rng):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         pools[int(cls)] = list(idx)
-    minimum_demand = {int(cls): 0 for cls in present}
-    for a, b in pair_of:
-        minimum_demand[a] += 1
-        minimum_demand[b] += 1
-    for cls, demand in minimum_demand.items():
-        if demand > len(pools[cls]):
-            raise ValueError(
-                f"class {cls} has {len(pools[cls])} samples but {demand} clients need one"
-            )
     weights = (np.arange(1, num_clients + 1, dtype=np.float64)) ** (-exponent)
     targets = np.maximum(2, np.rint(weights / weights.sum() * labels.size).astype(np.int64))
     parts = [[] for _ in range(num_clients)]
@@ -392,19 +416,20 @@ def _power_law_reference(labels, num_clients, exponent, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(counts=[4, 1], num_clients=3, exponent=1.2, seed=0)  # class 1 cannot supply 3 clients
+@example(counts=[0, 6], num_clients=2, exponent=1.2, seed=0)  # one class present
 def test_power_law_matches_list_reference(counts, num_clients, exponent, seed):
     labels = np.repeat(np.arange(len(counts)), counts)
     np.random.default_rng(seed).shuffle(labels)
-    assume(np.count_nonzero(counts) >= 2 and labels.size >= num_clients)
-    try:
-        expected = _power_law_reference(labels, num_clients, exponent, np.random.default_rng(seed))
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            power_law_two_class_partition(_dataset(labels), num_clients, _exponent(exponent),
-                                          np.random.default_rng(seed))
-        assert str(raised.value) == str(exc)
+    assume(labels.size >= num_clients)
+    data = _dataset(labels)
+    message = _power_law_reference_refusal(labels, num_clients)
+    if message is not None:
+        # the run refuses such data before partitioning, which trusts it
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _check_data_fits(_power_law_run(data, num_clients), data)
         return
-    parts = power_law_two_class_partition(_dataset(labels), num_clients, _exponent(exponent),
+    expected = _power_law_reference(labels, num_clients, exponent, np.random.default_rng(seed))
+    parts = power_law_two_class_partition(data, num_clients, _exponent(exponent),
                                           np.random.default_rng(seed))
     assert len(parts) == len(expected)
     for part, ref in zip(parts, expected):
@@ -412,15 +437,24 @@ def test_power_law_matches_list_reference(counts, num_clients, exponent, seed):
 
 
 def test_power_law_insufficient_singleton_class():
-    labels = np.array([0, 0, 0, 0, 1])
-    with pytest.raises(ValueError):
-        power_law_two_class_partition(_dataset(labels), 3, _exponent(1.2), np.random.default_rng(0))
+    # three clients all take the pair (0, 1); class 1 holds one sample
+    data = _dataset(np.array([0, 0, 0, 0, 1]))
+    with pytest.raises(ValueError, match="^class 1 has 1 samples but 3 clients need one$"):
+        _check_data_fits(_power_law_run(data, 3), data)
 
 
 def test_power_law_needs_two_classes():
-    with pytest.raises(ValueError):
-        power_law_two_class_partition(_dataset(np.zeros(10, dtype=int)), 2, _exponent(1.2),
-                                      np.random.default_rng(0))
+    data = _dataset(np.zeros(10, dtype=np.int64))
+    with pytest.raises(ValueError, match="^power-law partitioning needs at least 2 classes present$"):
+        _check_data_fits(_power_law_run(data, 2), data)
+
+
+def test_power_law_blob_classes_too_small_are_refused_with_the_config():
+    # 2 blob classes of 2 samples cover 3 clients, but all three take (0, 1)
+    blobs = BlobsConfig(num_classes=2, input_dim=2, train_per_class=2)
+    with pytest.raises(ValueError, match="^class 0 has 2 samples but 3 clients need one$"):
+        ExperimentConfig(model=ModelSpec("logistic", 2, 2), schedule=ScheduleConfig("static"),
+                         data=blobs, partition=_exponent(1.2), num_clients=3, clients_per_round=1)
 
 
 # --- IDX loader --------------------------------------------------------------

@@ -860,6 +860,7 @@ def test_cli_run_survives_an_overflowing_sensitivity_power(tmp_path):
         ("dp.xi", 1e308, "xi=1e+308"),
         ("eta", 1e308, "eta=1e+308"),
         ("dp.epsilon", 5e-324, "epsilon=5e-324"),
+        ("dp.epsilon", 2.3e-308, "epsilon=2.3e-308"),  # a finite scale whose draws overflow
         ("data.spread", 1e308, "spread=1e+308"),
     ],
 )
@@ -882,6 +883,16 @@ def test_console_script_names_a_callable_in_the_cli():
     assert target == "fedqdp.cli:main"
     module, _, name = target.partition(":")
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_packaging_and_ci_agree_on_the_python_version():
+    # tier-1 imports tomllib, new in 3.11, and CI's pinned numpy needs 3.11
+    # too; CI installs no YAML parser, so the workflow is read as text
+    root = Path(__file__).resolve().parents[1]
+    required = tomllib.loads((root / "pyproject.toml").read_text())["project"]["requires-python"]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    ci = re.findall(r'python-version:\s*"([^"]+)"', workflow)
+    assert [f">={version}" for version in ci] == [required]
 
 
 def _child_env(**extra) -> dict:
@@ -972,6 +983,24 @@ def test_config_and_grid_files_may_start_with_a_byte_order_mark(tmp_path, capsys
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)]) == 0
     assert (out / "summary.csv").exists() and (out / "cell_001" / "metrics.csv").exists()
+
+
+def test_a_repeated_key_is_refused_naming_the_file_and_the_key(tmp_path, capsys):
+    # json.loads alone keeps the last value: a second "rounds" ran silently
+    config, grid = tmp_path / "cfg.json", tmp_path / "grid.json"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(SMALL_RAW))
+    grid.write_text('{"seed": [0], "seed": [1]}')
+    out = tmp_path / "out"
+    for text, key in ((json.dumps(SMALL_RAW)[:-1] + ', "rounds": 3}', "rounds"),
+                      ('{"data": {"kind": "blobs", "spread": 0.1, "spread": 0.2}}', "spread")):
+        config.write_text(text)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{config}: duplicate key '{key}'" in capsys.readouterr().err
+    for arg, named in ((str(grid), str(grid)), ('{"seed": [0], "seed": [1]}', "grid")):
+        assert main(["sweep", "--config", str(good), "--grid", arg, "--out", str(out)]) == 2
+        assert f"{named}: duplicate key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_out_env_default(tmp_path):

@@ -73,6 +73,29 @@ def test_every_top_level_definition_is_named_elsewhere_in_the_package():
     assert unused_definitions(Path(fedqdp.__file__).parent) == []
 
 
+# Helpers that take values checked where they entered or were made, and so
+# hold no check of their own (README "Configuration"), by module.
+TRUSTING_HELPERS = {
+    "data": ("power_law_pairs", "dirichlet_partition", "power_law_two_class_partition"),
+    "models": ("loss_and_grad", "sgd_step", "clip_gradient_l1"),
+    "privacy": ("laplace_noise", "compute_e0"),
+    "federation": ("select_clients", "evaluate", "aggregate"),
+    "quantize": ("comm_cost",),
+    "schedule": ("schedule_bits", "client_importance"),
+}
+
+
+def test_trusting_helpers_hold_no_raise():
+    package = Path(fedqdp.__file__).parent
+    raising = []
+    for module, names in TRUSTING_HELPERS.items():
+        tree = ast.parse((package / f"{module}.py").read_text())
+        defs = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+        raising += [f"{module}.{name}" for name in names
+                    if any(isinstance(sub, ast.Raise) for sub in ast.walk(defs[name]))]
+    assert raising == []
+
+
 # Functions deleted from the package that perfbench/tracer.py still lists;
 # the benchmark reads their metrics as zero until TARGETS drops them.
 STALE_TRACE_TARGETS = {

@@ -279,6 +279,12 @@ def test_noise_scale_participation_factor():
 def test_noise_scale_validation():
     with pytest.raises(ValueError, match="noise scale overflows at epsilon=5e-324"):
         noise_scale(np.float64(1.0), DpConfig(epsilon=5e-324, xi=1.0), 1, 1, 1, 1)
+    # the largest Laplace draw is scale * -log(DBL_MIN) = scale * 708.396, which
+    # passes DBL_MAX above a scale of 2.5377e305, though the scale itself is finite
+    dp = DpConfig(epsilon=1.0, xi=1.0)
+    assert noise_scale(2.5e305, dp, 1, 1, 1, 1) == 2.5e305
+    with pytest.raises(ValueError, match="^noise scale overflows at epsilon=1.0, sensitivity 2.6e"):
+        noise_scale(2.6e305, dp, 1, 1, 1, 1)
 
 
 def test_laplace_noise_zero_scale_is_exact_zero():

@@ -224,6 +224,15 @@ def test_quantize_params_makes_a_valid_message_at_every_width():
             assert np.isfinite(q.scales).all() and (q.scales > 0).all()
 
 
+def test_a_message_is_read_only():
+    # as a ParamSet's vector is: a message cannot change once it is made
+    q = quantize_params(ParamSet({"w": np.ones(4)}), 8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="read-only"):
+        q.codes[0] = -128
+    with pytest.raises(ValueError, match="read-only"):
+        q.scales[0] = 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8, 16, 32]))
 def test_roundtrip_error_bounded_by_one_over_scale(seed, bits):
